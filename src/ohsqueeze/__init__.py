@@ -11,7 +11,7 @@ of the Zeeman-to-twisting ratio.
 """
 
 from .units import FieldParams, LabParams, adiabaticity_ratio, to_reduced
-from .spin import SpinOps, embed_initial_state, make_spin_ops, rotation, stretched_state
+from .spin import SpinOps, embed_initial_state, make_spin_ops, stretched_state
 from .hamiltonians import (
     AdiabaticRegimeWarning,
     EquivalenceReport,
@@ -23,13 +23,9 @@ from .hamiltonians import (
     verify_equivalence,
 )
 from .dynamics import (
-    MomentRecord,
     SqueezeSeries,
-    evolve,
     max_heisenberg_violation,
-    reduce,
     resolve_twist_sign,
-    rotated_moments,
     run_series,
     xi_wineland,
 )
@@ -43,7 +39,6 @@ __all__ = [
     "FieldParams",
     "HamiltonianKind",
     "LabParams",
-    "MomentRecord",
     "SpinOps",
     "SqueezeSeries",
     "adiabaticity_ratio",
@@ -52,16 +47,12 @@ __all__ = [
     "build_full",
     "build_named",
     "embed_initial_state",
-    "evolve",
     "full_matrix_tabulated",
     "linalg",
     "make_spin_ops",
     "max_heisenberg_violation",
     "optimize",
-    "reduce",
     "resolve_twist_sign",
-    "rotated_moments",
-    "rotation",
     "run_series",
     "stretched_state",
     "to_reduced",

@@ -27,16 +27,25 @@ SQRT_2J = math.sqrt(3.0)
 MATCHED_C_CONST = -1
 
 
-def _xi(var, mean):
-    """sqrt(2J) * sqrt(var) / |mean| with an infinity sentinel at mean = 0."""
-    var = np.asarray(var, dtype=float)
-    mean = np.asarray(mean, dtype=float)
+def xi_wineland(delta_perp, mean_len):
+    """Squeezing parameter ``sqrt(2J) * delta_perp / |mean_len|``.
+
+    A vanishing polarization is flagged with an infinity sentinel rather
+    than an exception, so divergent points survive into plots and tables.
+    """
+    delta_perp = np.asarray(delta_perp, dtype=float)
+    mean_len = np.asarray(mean_len, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = SQRT_2J * np.sqrt(np.maximum(var, 0.0)) / np.abs(mean)
-    out = np.where(mean == 0.0, np.inf, out)
+        out = SQRT_2J * delta_perp / np.abs(mean_len)
+    out = np.where(mean_len == 0.0, np.inf, out)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def spread(var):
+    """Standard deviation from a variance, clipped at zero against roundoff."""
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +95,7 @@ def ku_moments(kappa: float, t, n):
 def ku_xi(kappa: float, t, n):
     """Squeezing parameters ``(xi_y_n, xi_z_n)`` of the twisting dynamics."""
     mean_jx, var_y, var_z = ku_moments(kappa, t, n)
-    return _xi(var_y, mean_jx), _xi(var_z, mean_jx)
+    return xi_wineland(spread(var_y), mean_jx), xi_wineland(spread(var_z), mean_jx)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +141,7 @@ def lnl_moments(kappa: float, b_t: float, t):
 def lnl_xi(kappa: float, b_t: float, t):
     """Squeezing parameters ``(xi_x, xi_y)`` of the uniform-field dynamics."""
     mean_jz, var_x, var_y = lnl_moments(kappa, b_t, t)
-    return _xi(var_x, mean_jz), _xi(var_y, mean_jz)
+    return xi_wineland(spread(var_x), mean_jz), xi_wineland(spread(var_y), mean_jz)
 
 
 def xi_y_at_ts(r):

@@ -279,8 +279,8 @@ def _parse_n_policy(text: str):
 def _time_grid(args) -> np.ndarray:
     if args.points < 2:
         raise UsageError("--points must be at least 2")
-    if not (args.t_max > 0.0):
-        raise UsageError("--t-max must be positive")
+    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+        raise UsageError("--t-max must be finite and positive")
     return np.linspace(0.0, args.t_max, args.points)
 
 
@@ -437,8 +437,10 @@ def cmd_sweep_theta(args) -> int:
 def cmd_optimize_r(args) -> int:
     if args.grid_points < 3:
         raise UsageError("--grid-points must be at least 3")
-    if not (args.r_max > 0.0):
-        raise UsageError("--r-max must be positive")
+    if not (math.isfinite(args.r_max) and args.r_max > 0.0):
+        raise UsageError("--r-max must be finite and positive")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise UsageError("--tol must be finite and positive")
     r_opt, xi_min = analytic.optimize_r(r_max=args.r_max, tol=args.tol)
     xi_ref = analytic.xi_y_at_ts(DEFAULT_R)
     report = {

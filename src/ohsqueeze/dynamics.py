@@ -1,11 +1,13 @@
 """Exact state evolution and squeezing-parameter series.
 
-Evolution is exact (Hermitian eigendecomposition), every time point is
-propagated independently from t = 0, and the eight-level states are reduced
-to the J = 3/2 manifold before any moment is taken.  A series carries the
-full moment record, the rotated-quadrature record at the per-point analysis
-angle, and both squeezing-parameter normalizations (about the x
-polarization for twisting runs, about z for uniform-field runs).
+:func:`run_series` is the one evolution kernel: it diagonalizes the
+Hamiltonian once (Hermitian eigendecomposition), propagates the initial
+state to every time point of the grid in one batch, reduces eight-level
+states to the J = 3/2 manifold, and takes every moment as a batched trace.
+A series carries the full moment record, the rotated-quadrature record at
+the per-point analysis angle, and both squeezing-parameter normalizations
+(about the x polarization for twisting runs, about z for uniform-field
+runs).  The twisting-sign resolver and every CLI table are built on it.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
+from .analytic import spread, xi_wineland
 from .hamiltonians import HamiltonianKind, build_full, build_named
-from .linalg import herm_eig, partial_trace_slow
+from .linalg import herm_eig
 from .optimize import golden_section
-from .spin import SpinOps, embed_initial_state, make_spin_ops, rotation, stretched_state
+from .spin import embed_initial_state, make_spin_ops, stretched_state
 from .units import FieldParams
-
-SQRT_2J = analytic.SQRT_2J
 
 SCENARIOS = ("ku", "lnl", "general")
 MODELS = ("four_dim", "eight_dim")
@@ -46,108 +47,12 @@ SCAN_GRID_STEP = math.pi / 180.0
 SCAN_ANGLE_TOL = 1e-6
 
 
-def expect(op: np.ndarray, state: np.ndarray) -> float:
-    """Real expectation value of a Hermitian operator.
-
-    ``state`` may be a state vector or a density matrix.
-    """
-    op = np.asarray(op, dtype=complex)
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        if op.shape != (state.size, state.size):
-            raise ValueError(f"operator {op.shape} does not fit state of dim {state.size}")
-        return float(np.real(np.vdot(state, op @ state)))
-    if state.ndim == 2:
-        if op.shape != state.shape:
-            raise ValueError(f"operator {op.shape} does not fit density matrix {state.shape}")
-        return float(np.real(np.trace(op @ state)))
-    raise ValueError(f"state must be a vector or a square matrix, got ndim {state.ndim}")
-
-
-def evolve(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate ``psi0`` under Hermitian ``h`` for time ``t``, exactly."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    w, v = herm_eig(h)
-    if psi0.shape != (w.size,):
-        raise ValueError(f"state of dim {psi0.shape} does not fit operator of dim {w.size}")
-    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
-
-
 def _evolve_table(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States at every time in one shot; row ``i`` is ``psi(times[i])``."""
     w, v = herm_eig(h)
     amps = v.conj().T @ np.asarray(psi0, dtype=complex)
     phases = np.exp(-1j * np.outer(times, w))
     return (phases * amps) @ v.T
-
-
-def reduce(psi8: np.ndarray) -> np.ndarray:
-    """Reduced J = 3/2 density matrix of an eight-level pure state."""
-    psi8 = np.asarray(psi8, dtype=complex)
-    if psi8.shape != (8,):
-        raise ValueError(f"expected an 8-dim state vector, got shape {psi8.shape}")
-    return partial_trace_slow(np.outer(psi8, psi8.conj()), 2, 4)
-
-
-@dataclass(frozen=True)
-class MomentRecord:
-    """First and second moments in the frame rotated by ``n`` about x."""
-
-    mean_x: float
-    mean_x2: float
-    mean_y_n: float
-    mean_y2_n: float
-    mean_z_n: float
-    mean_z2_n: float
-
-    @property
-    def var_x(self) -> float:
-        return self.mean_x2 - self.mean_x**2
-
-    @property
-    def var_y_n(self) -> float:
-        return self.mean_y2_n - self.mean_y_n**2
-
-    @property
-    def var_z_n(self) -> float:
-        return self.mean_z2_n - self.mean_z_n**2
-
-
-def rotated_moments(state: np.ndarray, ops: SpinOps, n: float) -> MomentRecord:
-    """Moments of the quadratures rotated by angle ``n`` about the x axis.
-
-    The rotated operators are ``exp(i n Jx) Jy exp(-i n Jx)`` and its z
-    partner; the x moments are unchanged by the rotation and are returned
-    alongside.  ``state`` may be a vector or a density matrix.
-    """
-    u = rotation(ops, "x", -n)  # exp(+i n Jx)
-    ud = u.conj().T
-    jy_n = u @ ops.jy @ ud
-    jz_n = u @ ops.jz @ ud
-    return MomentRecord(
-        mean_x=expect(ops.jx, state),
-        mean_x2=expect(ops.jx @ ops.jx, state),
-        mean_y_n=expect(jy_n, state),
-        mean_y2_n=expect(jy_n @ jy_n, state),
-        mean_z_n=expect(jz_n, state),
-        mean_z2_n=expect(jz_n @ jz_n, state),
-    )
-
-
-def xi_wineland(delta_perp, mean_len):
-    """Squeezing parameter ``sqrt(2J) * delta_perp / |mean_len|``.
-
-    A vanishing polarization is flagged with an infinity sentinel rather
-    than an exception, so divergent points survive into plots and tables.
-    """
-    delta_perp = np.asarray(delta_perp, dtype=float)
-    mean_len = np.asarray(mean_len, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = SQRT_2J * delta_perp / np.abs(mean_len)
-    out = np.where(mean_len == 0.0, np.inf, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -281,7 +186,10 @@ def run_series(
         scale = analytic.precession_rate(params.kappa_t, params.b_t)
         if scale == 0.0:
             raise ValueError("zero precession rate: b_t and kappa_t both vanish")
-    times_phys = times / scale
+    with np.errstate(over="ignore"):
+        times_phys = times / scale
+    if not np.all(np.isfinite(times_phys)):
+        raise ValueError(f"time grid overflows at time scale {scale!r}")
 
     axis = _SCENARIO_AXIS[scenario]
     if model == "four_dim":
@@ -331,9 +239,6 @@ def run_series(
     var_y_n = mean_y2_n - mean_y_n**2
     var_z_n = mean_z2_n - mean_z_n**2
 
-    def spread(var: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(var, 0.0))
-
     return SqueezeSeries(
         scenario=scenario,
         model=model,
@@ -370,19 +275,15 @@ def max_heisenberg_violation(series: SqueezeSeries) -> float:
     mean.  Returns the largest shortfall found (0.0 when every record
     respects the bounds).
     """
-    dx = np.sqrt(np.maximum(series.var_jx, 0.0))
-    dy = np.sqrt(np.maximum(series.var_jy_n, 0.0))
-    dz = np.sqrt(np.maximum(series.var_jz_n, 0.0))
+    dx = spread(series.var_jx)
+    dy = spread(series.var_jy_n)
+    dz = spread(series.var_jz_n)
     shortfalls = (
         0.5 * np.abs(series.mean_jx) - dy * dz,
         0.5 * np.abs(series.mean_jz_n) - dx * dy,
         0.5 * np.abs(series.mean_jy_n) - dz * dx,
     )
     return float(max(0.0, *(s.max() for s in shortfalls)))
-
-
-def _cov_yz(state: np.ndarray) -> float:
-    return expect(_SYM_YZ, state) - expect(_J.jy, state) * expect(_J.jz, state)
 
 
 def resolve_twist_sign(e_ratio: float = 0.05, eval_phase: float = 0.3) -> int:
@@ -392,29 +293,25 @@ def resolve_twist_sign(e_ratio: float = 0.05, eval_phase: float = 0.3) -> int:
     the sign of the twisting strength, and it is insensitive to the exact
     effective rate.  The full model is run from the physical (embedded)
     x-stretched initial state -- the eight-level Hamiltonian itself carries
-    no ``c_const`` -- and each four-level sign candidate is run beside it;
-    exactly one candidate must reproduce the sign of the covariance.
-    Returns that ``c_const`` (-1, i.e. positive ``kappa_t``).
+    no ``c_const`` -- and each four-level sign candidate is run beside it,
+    all at the dimensionless time ``eval_phase``; exactly one candidate
+    must reproduce the sign of the covariance.  Returns that ``c_const``
+    (-1, i.e. positive ``kappa_t``).
     """
-    delta_t = 1.0
-    e_t = e_ratio * delta_t
-    kappa_mag = e_t**2 / delta_t
-    t_eval = eval_phase / kappa_mag
 
-    full = build_full(FieldParams(delta_t=delta_t, b_t=0.0, e_t=e_t, theta=0.0))
-    psi0_full = embed_initial_state(stretched_state(1.5, "x"), "f")
-    cov_full = _cov_yz(reduce(evolve(full, psi0_full, t_eval)))
+    def cov_at_phase(model: str, c_const: int = 1) -> float:
+        p = FieldParams(delta_t=1.0, b_t=0.0, e_t=e_ratio, theta=0.0, c_const=c_const)
+        return float(run_series(p, "ku", model, [eval_phase]).cov_jy_jz[0])
+
+    cov_full = cov_at_phase("eight_dim")
     if abs(cov_full) < 0.05:
         raise RuntimeError(
             f"covariance signal too weak to resolve the twisting sign: {cov_full!r}"
         )
 
-    psi0 = stretched_state(1.5, "x")
     matches = []
     for c_const in (1, -1):
-        p = FieldParams(delta_t=delta_t, b_t=0.0, e_t=e_t, theta=0.0, c_const=c_const)
-        h4 = build_named(HamiltonianKind.KITAGAWA_UEDA, p)
-        cov4 = _cov_yz(evolve(h4, psi0, t_eval))
+        cov4 = cov_at_phase("four_dim", c_const)
         if abs(cov4) < 0.05:
             raise RuntimeError(
                 f"covariance signal too weak for candidate c_const={c_const}: {cov4!r}"

@@ -158,6 +158,12 @@ def verify_equivalence(params: FieldParams, rtol: float = 1e-12) -> EquivalenceR
     )
 
 
+def _reduced(params: FieldParams, theta: float) -> np.ndarray:
+    """``-b_t Jz + kappa_t * axis**2`` with the Stark axis at ``theta``."""
+    axis = twist_axis(theta)
+    return -params.b_t * _J.jz + params.kappa_t * (axis @ axis)
+
+
 def build_adiabatic(params: FieldParams) -> np.ndarray:
     """Four-level reduction after adiabatic elimination of the pseudo-spin.
 
@@ -166,8 +172,6 @@ def build_adiabatic(params: FieldParams) -> np.ndarray:
     dominates both field rates; built anyway outside that regime, with an
     :class:`AdiabaticRegimeWarning`.
     """
-    if params.delta_t == 0:
-        raise ValueError("adiabatic reduction requires delta_t != 0")
     if not params.is_adiabatic:
         warnings.warn(
             "adiabatic reduction outside its validity regime: "
@@ -176,16 +180,16 @@ def build_adiabatic(params: FieldParams) -> np.ndarray:
             AdiabaticRegimeWarning,
             stacklevel=2,
         )
-    axis = twist_axis(params.theta)
-    return -params.b_t * _J.jz + params.kappa_t * (axis @ axis)
+    return _reduced(params, params.theta)
 
 
 def build_named(kind: HamiltonianKind, params: FieldParams) -> np.ndarray:
     """Build one of the named model Hamiltonians from reduced parameters.
 
-    The twisting kinds enforce their defining constraints: the pure-twisting
-    form requires ``b_t = 0`` and ``theta = 0``; the uniform-field form
-    requires ``theta = pi/2``.
+    The twisting kinds are the adiabatic reduction without the regime
+    warning, and enforce their defining constraints: the pure-twisting form
+    requires ``b_t = 0`` and ``theta = 0``; the uniform-field form requires
+    ``theta = pi/2``.  Both are built at the exact quadrant angle.
     """
     kind = HamiltonianKind(kind)
     if kind is HamiltonianKind.FULL:
@@ -197,14 +201,13 @@ def build_named(kind: HamiltonianKind, params: FieldParams) -> np.ndarray:
             raise ValueError("pure twisting requires b_t = 0")
         if abs(params.theta) > _ANGLE_TOL:
             raise ValueError("pure twisting requires theta = 0")
-        return params.kappa_t * (_J.jz @ _J.jz)
+        return _reduced(params, 0.0)
     if kind is HamiltonianKind.LAW_NG_LEUNG:
         if abs(params.theta - 0.5 * math.pi) > _ANGLE_TOL:
             raise ValueError("uniform-field form requires theta = pi/2")
-        return -params.b_t * _J.jz + params.kappa_t * (_J.jx @ _J.jx)
+        return _reduced(params, 0.5 * math.pi)
     if kind is HamiltonianKind.GENERAL_THETA:
-        axis = twist_axis(params.theta)
-        return -params.b_t * _J.jz + params.kappa_t * (axis @ axis)
+        return _reduced(params, params.theta)
     if kind is HamiltonianKind.AGARWAL_PURI_ROTATED:
         # Frame-rotated partner of the general-angle form: the twisting is
         # carried by Jz^2 and the Zeeman term points along the tilted axis.

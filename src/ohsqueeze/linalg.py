@@ -1,7 +1,7 @@
 """Small dense complex linear algebra used throughout the package.
 
-Every operator in this package is tiny (dimension 8 at most), so propagators
-are computed exactly from a Hermitian eigendecomposition rather than from a
+Every operator in this package is tiny (dimension 8 at most), so evolution
+is computed exactly from a Hermitian eigendecomposition rather than from a
 series or Pade approximation; unitarity and energy conservation then hold to
 roundoff even at long times.
 """
@@ -23,13 +23,6 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T) / norm)
 
 
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -41,7 +34,9 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     entries, or is not Hermitian; the Hermiticity message reports the
     measured relative asymmetry.
     """
-    a = _as_square(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     defect = hermitian_defect(a)
@@ -54,12 +49,6 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def propagator(h, t: float) -> np.ndarray:
-    """Unitary evolution operator ``exp(-i h t)`` for Hermitian ``h``."""
-    w, v = herm_eig(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the slow factor first.
 
@@ -67,21 +56,3 @@ def kron(a, b) -> np.ndarray:
     varies slowest, matching the block layout of the eight-level basis.
     """
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace_slow(rho, slow_dim: int, fast_dim: int) -> np.ndarray:
-    """Trace out the slow tensor factor of a density matrix.
-
-    ``rho`` must be square with side ``slow_dim * fast_dim``; the result is
-    the ``fast_dim`` x ``fast_dim`` matrix ``sum_s <s|rho|s>`` over the slow
-    index.  Only the dimensions are validated; Hermiticity, unit trace and
-    positivity of ``rho`` are the caller's contract.
-    """
-    rho = _as_square(rho)
-    if slow_dim < 1 or fast_dim < 1 or rho.shape[0] != slow_dim * fast_dim:
-        raise ValueError(
-            f"dimension mismatch: matrix side {rho.shape[0]} is not "
-            f"{slow_dim} * {fast_dim}"
-        )
-    blocks = rho.reshape(slow_dim, fast_dim, slow_dim, fast_dim)
-    return np.einsum("sasb->ab", blocks)

@@ -1,4 +1,4 @@
-"""Angular-momentum operators, rotations, and coherent initial states.
+"""Angular-momentum operators and coherent initial states.
 
 Basis convention everywhere: projections in descending order, m = +j first.
 The eight-level basis is the pseudo-spin block (slow index) times the
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import propagator
 
 
 @dataclass(frozen=True)
@@ -55,20 +53,6 @@ def make_spin_ops(j: float) -> SpinOps:
         jz=np.diag(m).astype(complex),
         identity=np.eye(dim, dtype=complex),
     )
-
-
-def rotation(ops: SpinOps, axis: str, angle: float) -> np.ndarray:
-    """Rotation ``exp(-i * angle * J_axis)`` about a Cartesian axis.
-
-    With this sign, conjugating an operator as ``U O U^H`` with
-    ``U = rotation(ops, axis, -n)`` realizes the ``exp(+i n J) O exp(-i n J)``
-    frame change used by the rotated quadratures.
-    """
-    try:
-        generator = {"x": ops.jx, "y": ops.jy, "z": ops.jz}[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-    return propagator(generator, angle)
 
 
 def stretched_state(j: float, axis: str) -> np.ndarray:

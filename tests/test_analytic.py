@@ -158,8 +158,8 @@ def test_optimize_r_frozen_values():
 
 
 def test_xi_infinite_at_zero_polarization():
-    assert math.isinf(analytic._xi(0.75, 0.0))
-    out = analytic._xi(np.array([0.75, 0.75]), np.array([1.5, 0.0]))
+    assert math.isinf(analytic.xi_wineland(math.sqrt(0.75), 0.0))
+    out = analytic.xi_wineland(np.sqrt([0.75, 0.75]), np.array([1.5, 0.0]))
     assert out[0] == pytest.approx(1.0, abs=1e-15)
     assert math.isinf(out[1])
 

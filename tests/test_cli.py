@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,12 +251,63 @@ def test_config_c_const_flag_override(capsys, tmp_path):
         # optimize-r guards
         ("optimize-r", "--format", "csv", "--grid-points", "2"),
         ("optimize-r", "--r-max", "0"),
+        # non-finite or non-positive numbers
+        ("simulate", "--scenario", "ku", "--t-max", "inf"),
+        ("simulate", "--scenario", "ku", "--t-max", "nan"),
+        ("optimize-r", "--r-max", "inf"),
+        ("optimize-r", "--tol", "nan"),
+        ("optimize-r", "--tol", "-1"),
+        ("optimize-r", "--tol", "0"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+def test_time_grid_overflow_fails_without_table(capsys, tmp_path):
+    # --t-max is finite but dividing it by |kappa_t| overflows: the run must
+    # fail instead of writing nan rows
+    out = tmp_path / "out.csv"
+    argv = ("simulate", "--scenario", "ku", "--t-max", "1e308", "--points", "5")
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert stdout == ""
+    assert "overflows" in err
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 3
+    assert not out.exists()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (
+            "simulate_ku_both_41.csv",
+            ("simulate", "--scenario", "ku", "--model", "both", "--points", "41"),
+        ),
+        ("compare_ku_41.csv", ("compare", "--scenario", "ku", "--points", "41")),
+        (
+            "simulate_lnl_both_21.json",
+            ("simulate", "--scenario", "lnl", "--model", "both", "--points", "21",
+             "--format", "json"),
+        ),
+        (
+            "sweep_theta_30_90_full_11.json",
+            ("sweep-theta", "--theta-list", "30,90", "--model", "full", "--points", "11",
+             "--format", "json"),
+        ),
+    ],
+)
+def test_output_matches_golden_bytes(tmp_path, capsys, name, argv):
+    out = tmp_path / name
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_unknown_config_key_and_duplicates(capsys, tmp_path):

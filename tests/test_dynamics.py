@@ -5,20 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from ohsqueeze import analytic
 from ohsqueeze.dynamics import (
-    MomentRecord,
-    evolve,
-    expect,
     max_heisenberg_violation,
-    reduce,
     resolve_twist_sign,
-    rotated_moments,
     run_series,
     xi_wineland,
 )
-from ohsqueeze.hamiltonians import build_full
-from ohsqueeze.spin import embed_initial_state, make_spin_ops, rotation, stretched_state
+from ohsqueeze.spin import embed_initial_state, make_spin_ops
 from ohsqueeze.units import FieldParams
 
 OPS = make_spin_ops(1.5)
@@ -42,7 +37,7 @@ def _uniform_field_params(r=3.3, e_t=0.25):
 
 
 # ---------------------------------------------------------------------------
-# expectation values and propagation
+# the single-point reference routes (tests/reference.py)
 
 
 def test_expect_vector_density_agree():
@@ -50,16 +45,7 @@ def test_expect_vector_density_agree():
     psi = _random_state(rng, 4)
     rho = np.outer(psi, psi.conj())
     for op in (OPS.jx, OPS.jy, OPS.jz, OPS.jx @ OPS.jx):
-        assert expect(op, psi) == pytest.approx(expect(op, rho), abs=1e-12)
-
-
-def test_expect_validates_shapes():
-    with pytest.raises(ValueError):
-        expect(OPS.jx, np.ones(3))
-    with pytest.raises(ValueError):
-        expect(OPS.jx, np.eye(3))
-    with pytest.raises(ValueError):
-        expect(OPS.jx, np.ones((2, 2, 2)))
+        assert reference.expect(op, psi) == pytest.approx(reference.expect(op, rho), abs=1e-12)
 
 
 def test_evolve_preserves_norm_and_starts_at_identity():
@@ -67,27 +53,24 @@ def test_evolve_preserves_norm_and_starts_at_identity():
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = 0.5 * (h + h.conj().T)
     psi = _random_state(rng, 4)
-    assert np.allclose(evolve(h, psi, 0.0), psi, atol=1e-14)
-    psi_t = evolve(h, psi, 1.7)
+    assert np.allclose(reference.propagator(h, 0.0) @ psi, psi, atol=1e-14)
+    psi_t = reference.propagator(h, 1.7) @ psi
     assert np.linalg.norm(psi_t) == pytest.approx(1.0, abs=1e-13)
-    with pytest.raises(ValueError):
-        evolve(h, np.ones(3), 1.0)
 
 
 def test_evolve_matches_eigenphase_on_diagonal_generator():
     h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
     psi = np.full(4, 0.5, dtype=complex)
-    out = evolve(h, psi, 0.9)
+    out = reference.propagator(h, 0.9) @ psi
     assert np.allclose(out, 0.5 * np.exp(-1j * 0.9 * np.arange(4)), atol=1e-14)
 
 
 def test_reduce_projects_out_pseudo_spin():
     psi4 = _random_state(np.random.default_rng(3), 4)
-    rho = reduce(embed_initial_state(psi4, "f"))
+    psi8 = embed_initial_state(psi4, "f")
+    rho = reference.partial_trace_slow(np.outer(psi8, psi8.conj()), 2, 4)
     assert np.allclose(rho, np.outer(psi4, psi4.conj()), atol=1e-14)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
-    with pytest.raises(ValueError):
-        reduce(np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -95,36 +78,62 @@ def test_reduce_projects_out_pseudo_spin():
 
 
 def test_rotated_moments_zero_angle_is_direct():
-    psi = _random_state(np.random.default_rng(7), 4)
-    rec = rotated_moments(psi, OPS, 0.0)
-    assert rec.mean_x == pytest.approx(expect(OPS.jx, psi), abs=1e-13)
-    assert rec.mean_y_n == pytest.approx(expect(OPS.jy, psi), abs=1e-13)
-    assert rec.mean_z_n == pytest.approx(expect(OPS.jz, psi), abs=1e-13)
-    assert rec.var_y_n == pytest.approx(
-        expect(OPS.jy @ OPS.jy, psi) - expect(OPS.jy, psi) ** 2, abs=1e-12
-    )
+    times = np.linspace(0.0, 3.0, 31)
+    series = run_series(_twisting_params(), "ku", "eight_dim", times, n_policy=0.0)
+    assert np.array_equal(series.mean_jy_n, series.mean_jy)
+    assert np.array_equal(series.mean_jz_n, series.mean_jz)
+    assert np.allclose(series.var_jy_n, series.var_jy, atol=1e-14)
+    assert np.allclose(series.var_jz_n, series.var_jz, atol=1e-14)
 
 
 def test_rotated_moments_match_rotated_state():
-    # rotating the operators forward equals rotating the state backward
-    rng = np.random.default_rng(17)
-    psi = _random_state(rng, 4)
+    # rotating the operators forward (the kernel) equals rotating the state
+    # backward (the reference)
     n = 0.8
-    back = rotation(OPS, "x", n) @ psi
-    rec = rotated_moments(psi, OPS, n)
-    direct = rotated_moments(back, OPS, 0.0)
-    assert rec.mean_y_n == pytest.approx(direct.mean_y_n, abs=1e-12)
-    assert rec.mean_z2_n == pytest.approx(direct.mean_z2_n, abs=1e-12)
-    assert rec.mean_x == pytest.approx(direct.mean_x, abs=1e-12)
+    series = run_series(_twisting_params(), "ku", "four_dim", [1.3], n_policy=n)
+    ref = reference.moments(_twisting_params(), "ku", "four_dim", series.times_phys[0], n)
+    assert series.mean_jy_n[0] == pytest.approx(ref["mean_jy_n"], abs=1e-12)
+    assert series.var_jz_n[0] == pytest.approx(ref["var_jz_n"], abs=1e-12)
+    assert series.mean_jx[0] == pytest.approx(ref["mean_jx"], abs=1e-12)
 
 
-def test_moment_record_variance_properties():
-    rec = MomentRecord(
-        mean_x=1.0, mean_x2=1.5, mean_y_n=0.25, mean_y2_n=0.5, mean_z_n=-0.5, mean_z2_n=1.0
-    )
-    assert rec.var_x == pytest.approx(0.5)
-    assert rec.var_y_n == pytest.approx(0.4375)
-    assert rec.var_z_n == pytest.approx(0.75)
+def _random_params(rng, scenario):
+    e_t = float(rng.uniform(0.05, 0.5))
+    c_const = int(rng.choice([1, -1]))
+    if scenario == "ku":
+        return FieldParams(delta_t=1.0, b_t=0.0, e_t=e_t, theta=0.0, c_const=c_const)
+    theta = 0.5 * math.pi if scenario == "lnl" else float(rng.uniform(0.05, math.pi - 0.05))
+    b_t = float(rng.uniform(-5.0, 5.0)) * e_t**2
+    return FieldParams(delta_t=1.0, b_t=b_t, e_t=e_t, theta=theta, c_const=c_const)
+
+
+ORACLE_FIELDS = ("mean_jx", "mean_jy_n", "var_jy_n", "var_jz_n", "cov_jy_jz", "purity")
+
+
+@pytest.mark.parametrize("model", ["four_dim", "eight_dim"])
+@pytest.mark.parametrize(
+    "scenario, n_policy",
+    [
+        ("ku", "formula"),
+        ("ku", "scan"),
+        ("ku", 0.7),
+        ("lnl", "formula"),
+        ("general", "formula"),
+        ("general", 0.4),
+    ],
+)
+def test_run_series_matches_single_point_reference(scenario, n_policy, model):
+    seed = ["ku", "lnl", "general"].index(scenario) + 10 * ["four_dim", "eight_dim"].index(model)
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, scenario)
+    times = np.linspace(0.0, 3.0, 61)
+    series = run_series(params, scenario, model, times, n_policy=n_policy)
+    for k in np.concatenate([[0, times.size - 1], rng.choice(times.size, 6, replace=False)]):
+        ref = reference.moments(
+            params, scenario, model, series.times_phys[k], series.n_angle[k]
+        )
+        for name in ORACLE_FIELDS:
+            assert getattr(series, name)[k] == pytest.approx(ref[name], abs=1e-12), (name, k)
 
 
 def test_xi_wineland_coherent_baseline_and_sentinel():

@@ -1,15 +1,11 @@
-"""Eigensolver, propagator, Kronecker helper, and partial trace checks."""
+"""Eigensolver and Kronecker helper checks, plus the propagator and partial
+trace of the single-point reference routes in ``tests/reference.py``."""
 
 import numpy as np
 import pytest
+from reference import partial_trace_slow, propagator
 
-from ohsqueeze.linalg import (
-    herm_eig,
-    hermitian_defect,
-    kron,
-    partial_trace_slow,
-    propagator,
-)
+from ohsqueeze.linalg import herm_eig, hermitian_defect, kron
 
 
 def random_hermitian(rng, dim):

@@ -1,11 +1,13 @@
-"""Angular momentum operators, rotations, and stretched states."""
+"""Angular momentum operators and stretched states, plus the rotations of the
+single-point reference routes in ``tests/reference.py``."""
 
 import math
 
 import numpy as np
 import pytest
+from reference import rotation
 
-from ohsqueeze.spin import embed_initial_state, make_spin_ops, rotation, stretched_state
+from ohsqueeze.spin import embed_initial_state, make_spin_ops, stretched_state
 
 
 def frob(a):
