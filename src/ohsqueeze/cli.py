@@ -13,14 +13,19 @@ flags (--e-ratio, --r / --b-ratio), lab-frame flags (--e-vpcm, --b-gauss,
 The time axis is dimensionless (|kappa_t| t for the twisting scenario,
 P t otherwise); ``--si-time`` switches it to seconds, which needs
 lab-frame inputs.  Output is deterministic: fixed column order per
-command, 17-significant-digit floats, comma separators, ``\\n`` line
-endings, sorted JSON keys.  Exit codes: 0 success, 2 usage error,
+command and ``\\n`` line endings.  CSV prints floats with 17 significant
+digits (``inf``, ``-inf`` and ``nan`` as such) and comma separators.  JSON
+sorts keys, prints floats as Python's shortest round-trip ``repr`` (for
+example ``0.20625``) and non-finite values as the strings ``"inf"``,
+``"-inf"`` and ``"nan"``.  Exit codes: 0 success, 2 usage error,
 3 computation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -28,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__, analytic
-from .dynamics import SqueezeSeries, max_heisenberg_violation, run_series
+from .dynamics import SqueezeSeries, max_heisenberg_violation, run_series, time_scale
 from .units import FieldParams, LabParams, to_reduced
 
 DEFAULT_E_RATIO = 0.25
@@ -52,6 +57,9 @@ CONFIG_KEYS = frozenset(
     }
 )
 _CONFIG_REQUIRED = ("delta_hz", "e_vpcm", "b_gauss")
+
+#: Rows the CSV writer formats and writes at a time.
+CSV_CHUNK_ROWS = 1024
 
 CONVENTION_NOTE = "kappa_t = -c_const * e_t**2 / delta_t; c_const=-1 gives kappa_t > 0"
 
@@ -86,29 +94,77 @@ def _jsonable(value):
     return value
 
 
-def _write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str):
+    """The open output: standard output for ``-``, else the file at ``path``."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     with open(path, "w", newline="") as handle:
+        yield handle
+
+
+def _write_json(path: str, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with _output(path) as handle:
         handle.write(text)
 
 
-def _table_text(header: list[str], columns: list) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in zip(*columns))
-    return "\n".join(lines) + "\n"
+def _block_rows(block: list) -> int:
+    return next(cell.size for cell in block if isinstance(cell, np.ndarray))
 
 
-def _emit_table(args, header: list[str], columns: list, meta: dict) -> None:
-    """Write the data table as CSV or as a JSON object with metadata."""
+def _csv_cells(cell, lo: int, hi: int):
+    """Text of rows ``lo:hi`` of one cell, formatted as :func:`_fmt` would.
+
+    Lazy, so each cell's text lives only until its row is joined.
+    """
+    if not isinstance(cell, np.ndarray):
+        return itertools.repeat(_fmt(cell), hi - lo)
+    values = cell[lo:hi].tolist()
+    if cell.dtype.kind == "f":
+        return map("%.17g".__mod__, values)
+    return map(_fmt, values)
+
+
+def _write_csv(handle, header: list[str], blocks: list[list]) -> None:
+    """Write the table in chunks of :data:`CSV_CHUNK_ROWS` rows."""
+    handle.write(",".join(header) + "\n")
+    for block in blocks:
+        n = _block_rows(block)
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            hi = min(lo + CSV_CHUNK_ROWS, n)
+            rows = zip(*(_csv_cells(cell, lo, hi) for cell in block))
+            handle.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def _json_cells(cell, n: int) -> list:
+    """JSON values of one cell; non-finite floats become their string sentinels."""
+    if not isinstance(cell, np.ndarray):
+        return [_jsonable(cell)] * n
+    values = cell.tolist()
+    if cell.dtype.kind == "f" and not np.isfinite(cell).all():
+        return [v if math.isfinite(v) else _fmt(v) for v in values]
+    return values
+
+
+def _emit_table(args, header: list[str], blocks: list[list], meta: dict) -> None:
+    """Write a table as CSV or as a JSON object with metadata.
+
+    Each block is one run's rows: a list of cells in header order, each a
+    1-D numeric or string array, or a scalar repeated down the block.
+    """
     if args.format == "csv":
-        _write_text(args.out, _table_text(header, columns))
+        with _output(args.out) as handle:
+            _write_csv(handle, header, blocks)
         return
-    payload = dict(meta)
+    payload = _jsonable(meta)
     payload["columns"] = header
-    payload["rows"] = [list(row) for row in zip(*columns)]
-    _write_text(args.out, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    rows = payload["rows"] = []
+    for block in blocks:
+        n = _block_rows(block)
+        rows.extend(map(list, zip(*(_json_cells(cell, n) for cell in block))))
+    _write_json(args.out, payload)
 
 
 def _theta_rad(theta_deg: float) -> float:
@@ -284,6 +340,16 @@ def _time_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.t_max, args.points)
 
 
+def _check_time_scale(params: FieldParams, scenario: str, t_max: float) -> None:
+    """Reject fields whose time scale cannot carry the grid (exit 2, before any run)."""
+    try:
+        scale = time_scale(params, scenario)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not math.isfinite(t_max / scale):
+        raise UsageError(f"time grid overflows: --t-max {t_max!r} at time scale {scale!r}")
+
+
 def _check_si_time(args, lab_mode: bool) -> None:
     if args.si_time and not lab_mode:
         raise UsageError("--si-time needs lab-frame inputs (lab flags or --config)")
@@ -293,6 +359,11 @@ def _time_column(series: SqueezeSeries, si_time: bool) -> tuple[str, np.ndarray]
     if si_time:
         return "t_seconds", series.times_phys / (2.0 * math.pi)
     return "t_dimensionless", series.times
+
+
+def _series_cells(series: SqueezeSeries, si_time: bool) -> list:
+    """One run's table cells: its time column, then its two squeezing columns."""
+    return [_time_column(series, si_time)[1]] + [col for _, col in series.xi_pair()]
 
 
 def _params_dict(params: FieldParams) -> dict:
@@ -330,6 +401,7 @@ def cmd_simulate(args) -> int:
     _check_si_time(args, lab_mode)
     n_policy = _parse_n_policy(args.n_policy)
     times = _time_grid(args)
+    _check_time_scale(params, args.scenario, args.t_max)
     model_names = ("adiabatic", "full") if args.model == "both" else (args.model,)
     runs = [
         (name, run_series(params, args.scenario, MODEL_MAP[name], times, n_policy))
@@ -337,21 +409,11 @@ def cmd_simulate(args) -> int:
     ]
 
     first = runs[0][1]
-    time_name, _ = _time_column(first, args.si_time)
-    xi_labels = [label for label, _ in first.xi_pair()]
-    header = [time_name] + xi_labels
+    header = [_time_column(first, args.si_time)[0]] + [label for label, _ in first.xi_pair()]
+    blocks = [_series_cells(series, args.si_time) for _, series in runs]
     if args.model == "both":
         header = ["model"] + header
-    columns: list = [[] for _ in header]
-    for name, series in runs:
-        tcol = _time_column(series, args.si_time)[1]
-        block = [np.asarray(col) for _, col in series.xi_pair()]
-        block = [tcol] + block
-        if args.model == "both":
-            block = [np.array([name] * times.size, dtype=object)] + block
-        for store, col in zip(columns, block):
-            store.append(col)
-    merged = [np.concatenate(chunks) for chunks in columns]
+        blocks = [[name] + block for (name, _), block in zip(runs, blocks)]
 
     meta = {
         "command": "simulate",
@@ -366,7 +428,7 @@ def cmd_simulate(args) -> int:
         },
         "convention": CONVENTION_NOTE,
     }
-    _emit_table(args, header, merged, meta)
+    _emit_table(args, header, blocks, meta)
     if args.out != "-":
         print(f"scenario={args.scenario} model={args.model} n_policy={first.n_policy}")
         print("params: " + " ".join(f"{k}={_fmt(v)}" for k, v in _params_dict(params).items()))
@@ -388,23 +450,18 @@ def cmd_sweep_theta(args) -> int:
     if args.model == "both":
         raise UsageError("sweep-theta runs one model; pick adiabatic or full")
     times = _time_grid(args)
-
-    header = None
-    stores: list = []
-    summaries = []
+    angles = []
     for theta_deg in theta_list:
         params, lab_mode = _resolve_fields(args, "general", theta_deg_override=theta_deg)
         _check_si_time(args, lab_mode)
+        _check_time_scale(params, "general", args.t_max)
+        angles.append((theta_deg, params))
+
+    blocks = []
+    summaries = []
+    for theta_deg, params in angles:
         series = run_series(params, "general", MODEL_MAP[args.model], times)
-        time_name, tcol = _time_column(series, args.si_time)
-        block_header = ["theta_deg", time_name] + [label for label, _ in series.xi_pair()]
-        block = [np.full(times.size, theta_deg), tcol]
-        block.extend(np.asarray(col) for _, col in series.xi_pair())
-        if header is None:
-            header = block_header
-            stores = [[] for _ in header]
-        for store, col in zip(stores, block):
-            store.append(col)
+        blocks.append([theta_deg] + _series_cells(series, args.si_time))
         summaries.append(
             {
                 "theta_deg": theta_deg,
@@ -414,14 +471,15 @@ def cmd_sweep_theta(args) -> int:
                 "heisenberg_violation": max_heisenberg_violation(series),
             }
         )
-    merged = [np.concatenate(chunks) for chunks in stores]
+    header = ["theta_deg", _time_column(series, args.si_time)[0]]
+    header += [label for label, _ in series.xi_pair()]
     meta = {
         "command": "sweep-theta",
         "model": args.model,
         "per_theta": summaries,
         "convention": CONVENTION_NOTE,
     }
-    _emit_table(args, header, merged, meta)
+    _emit_table(args, header, blocks, meta)
     if args.out != "-":
         for entry in summaries:
             parts = [f"theta_deg={_fmt(entry['theta_deg'])}"]
@@ -452,10 +510,11 @@ def cmd_optimize_r(args) -> int:
         "convention": CONVENTION_NOTE,
     }
     if args.format == "json":
-        _write_text(args.out, json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, _jsonable(report))
     else:
         r_grid = np.linspace(0.0, args.r_max, args.grid_points)
-        _write_text(args.out, _table_text(["r", "xi_y_ts"], [r_grid, analytic.xi_y_at_ts(r_grid)]))
+        with _output(args.out) as handle:
+            _write_csv(handle, ["r", "xi_y_ts"], [[r_grid, analytic.xi_y_at_ts(r_grid)]])
     if args.out != "-":
         print(f"r_opt = {_fmt(r_opt)}")
         print(f"xi_min = {_fmt(xi_min)}")
@@ -471,16 +530,17 @@ def cmd_compare(args) -> int:
         raise UsageError("compare always runs both models; drop --model")
     n_policy = _parse_n_policy(args.n_policy)
     times = _time_grid(args)
+    _check_time_scale(params, args.scenario, args.t_max)
     four = run_series(params, args.scenario, "four_dim", times, n_policy)
     eight = run_series(params, args.scenario, "eight_dim", times, n_policy)
 
     time_name, tcol = _time_column(four, args.si_time)
     header = [time_name]
-    columns = [tcol]
+    block = [tcol]
     gaps = {}
     for (label, col4), (_, col8) in zip(four.xi_pair(), eight.xi_pair()):
         header.extend([f"{label}_adiabatic", f"{label}_full"])
-        columns.extend([np.asarray(col4), np.asarray(col8)])
+        block.extend([col4, col8])
         # Summary gap over the squeezing band only: near a polarization zero
         # both curves spike to arbitrarily large values and the pointwise
         # difference is meaningless.  The CSV keeps the raw columns.
@@ -496,7 +556,7 @@ def cmd_compare(args) -> int:
         "max_pointwise_gap": gaps,
         "convention": CONVENTION_NOTE,
     }
-    _emit_table(args, header, columns, meta)
+    _emit_table(args, header, [block], meta)
     if args.out != "-":
         for name, series in (("adiabatic", four), ("full", eight)):
             for line in _minima_lines(f"{name} ", series):

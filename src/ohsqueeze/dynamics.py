@@ -149,6 +149,22 @@ def _moment_tables(rho: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+def time_scale(params: FieldParams, scenario: str) -> float:
+    """Physical rate per unit of dimensionless time for a scenario.
+
+    ``|kappa_t|`` for "ku" (1 when there is no twisting, so the axis is raw
+    time) and the precession rate P otherwise; a vanishing P raises
+    ``ValueError``.
+    """
+    if scenario == "ku":
+        scale = abs(params.kappa_t)
+        return scale if scale != 0.0 else 1.0
+    scale = analytic.precession_rate(params.kappa_t, params.b_t)
+    if scale == 0.0:
+        raise ValueError("zero precession rate: b_t and kappa_t both vanish")
+    return scale
+
+
 def run_series(
     params: FieldParams,
     scenario: str,
@@ -178,14 +194,7 @@ def run_series(
     if not np.all(np.isfinite(times)):
         raise ValueError("time grid contains non-finite values")
 
-    if scenario == "ku":
-        scale = abs(params.kappa_t)
-        if scale == 0.0:
-            scale = 1.0  # no twisting: dimensionless axis is raw time
-    else:
-        scale = analytic.precession_rate(params.kappa_t, params.b_t)
-        if scale == 0.0:
-            raise ValueError("zero precession rate: b_t and kappa_t both vanish")
+    scale = time_scale(params, scenario)
     with np.errstate(over="ignore"):
         times_phys = times / scale
     if not np.all(np.isfinite(times_phys)):

@@ -6,8 +6,13 @@ explicit loop over the slow index, the eight-level Hamiltonian taken from
 its entry-by-entry tabulation, and rotated-quadrature moments taken on the
 frame-rotated state ``exp(-i n Jx) rho exp(+i n Jx)`` rather than from the
 rotated operators.  The batched kernel shares none of these steps.
+
+The table text oracles at the end format one cell at a time and build the
+whole text before returning it, the plain route the CLI's chunked writer
+must reproduce byte for byte.
 """
 
+import json
 import math
 
 import numpy as np
@@ -90,3 +95,45 @@ def moments(params, scenario, model, t_phys, n):
         "cov_jy_jz": expect(sym_yz, rho) - mean_y * mean_z,
         "purity": float(np.trace(rho @ rho).real),
     }
+
+
+def fmt(value) -> str:
+    """One table cell as text: strings as they are, ints in full, floats to 17 digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def jsonable(value):
+    """JSON-safe copy: non-finite floats become strings, arrays become lists."""
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else fmt(value)
+    return value
+
+
+def table_csv(header, columns) -> str:
+    """The whole CSV text, built row by row and cell by cell."""
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def table_json(header, columns, meta) -> str:
+    """The whole JSON text: the metadata plus ``columns`` and row-wise ``rows``."""
+    payload = dict(meta)
+    payload["columns"] = header
+    payload["rows"] = [list(row) for row in zip(*columns)]
+    return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"

@@ -258,6 +258,9 @@ def test_config_c_const_flag_override(capsys, tmp_path):
         ("optimize-r", "--tol", "nan"),
         ("optimize-r", "--tol", "-1"),
         ("optimize-r", "--tol", "0"),
+        # finite fields whose time scale breaks the grid
+        ("simulate", "--scenario", "ku", "--e-ratio", "1e-155", "--points", "3"),
+        ("simulate", "--scenario", "lnl", "--e-ratio", "0"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -267,16 +270,16 @@ def test_usage_errors_exit_two(capsys, argv):
 
 
 def test_time_grid_overflow_fails_without_table(capsys, tmp_path):
-    # --t-max is finite but dividing it by |kappa_t| overflows: the run must
-    # fail instead of writing nan rows
+    # --t-max is finite but dividing it by |kappa_t| overflows: a usage error,
+    # raised before any run, instead of nan rows
     out = tmp_path / "out.csv"
     argv = ("simulate", "--scenario", "ku", "--t-max", "1e308", "--points", "5")
     code, stdout, err = run_cli(capsys, *argv)
-    assert code == 3
+    assert code == 2
     assert stdout == ""
     assert "overflows" in err
     code, _, _ = run_cli(capsys, *argv, "--out", str(out))
-    assert code == 3
+    assert code == 2
     assert not out.exists()
 
 
@@ -301,6 +304,11 @@ GOLDEN = Path(__file__).parent / "golden"
             ("sweep-theta", "--theta-list", "30,90", "--model", "full", "--points", "11",
              "--format", "json"),
         ),
+        (
+            "sweep_theta_30_90_adiabatic_11.csv",
+            ("sweep-theta", "--theta-list", "30,90", "--model", "adiabatic", "--points", "11"),
+        ),
+        ("optimize_r_11.csv", ("optimize-r", "--format", "csv", "--grid-points", "11")),
     ],
 )
 def test_output_matches_golden_bytes(tmp_path, capsys, name, argv):

@@ -1,0 +1,135 @@
+"""The CLI table emitter against the cell-by-cell reference route."""
+
+import argparse
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference
+from ohsqueeze import cli
+
+SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308, -2.5, 1.0 / 3.0]
+KINDS = ("float", "int", "str", "float_scalar", "int_scalar", "str_scalar")
+NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+def expand(blocks):
+    """Full-length columns of a block table, one Python list per column."""
+    columns = [[] for _ in blocks[0]]
+    for block in blocks:
+        n = next(cell.size for cell in block if isinstance(cell, np.ndarray))
+        for store, cell in zip(columns, block):
+            store.extend(list(cell) if isinstance(cell, np.ndarray) else [cell] * n)
+    return columns
+
+
+def emitted(capsys, tmp_path, fmt, out, header, blocks, meta):
+    """Bytes the emitter writes to standard output or to a file."""
+    capsys.readouterr()
+    path = tmp_path / f"table.{fmt}"
+    target = "-" if out == "-" else str(path)
+    cli._emit_table(argparse.Namespace(format=fmt, out=target), header, blocks, meta)
+    if out == "-":
+        return capsys.readouterr().out.encode()
+    return path.read_bytes()
+
+
+def expected(fmt, header, blocks, meta):
+    columns = expand(blocks)
+    if fmt == "csv":
+        return reference.table_csv(header, columns).encode()
+    return reference.table_json(header, columns, meta).encode()
+
+
+@st.composite
+def cells(draw, kind, n):
+    if kind == "float":
+        return np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
+    if kind == "int":
+        values = draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n))
+        return np.array(values, dtype=np.int64)
+    if kind == "str":
+        return np.array(draw(st.lists(NAMES, min_size=n, max_size=n)), dtype=object)
+    if kind == "float_scalar":
+        return draw(FLOATS)
+    if kind == "int_scalar":
+        return draw(st.integers(-(2**62), 2**62))
+    return draw(NAMES)
+
+
+@st.composite
+def tables(draw):
+    """A chunk size, and a table whose blocks hold chunk-1, chunk, chunk+1 or 2*chunk+1 rows."""
+    chunk = draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
+    kinds.insert(draw(st.integers(0, len(kinds))), "float")  # every block has an array
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
+        blocks.append([draw(cells(kind, n)) for kind in kinds])
+    header = [f"c{k}" for k in range(len(kinds))]
+    return chunk, header, blocks
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    table=tables(),
+    fmt=st.sampled_from(["csv", "json"]),
+    out=st.sampled_from(["-", "path"]),
+    extra=FLOATS,
+)
+def test_emitter_matches_cell_by_cell_route(capsys, tmp_path, monkeypatch, table, fmt, out, extra):
+    chunk, header, blocks = table
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    meta = {"command": "test", "value": extra, "nested": {"values": [extra, 1, "x"]}}
+    got = emitted(capsys, tmp_path, fmt, out, header, blocks, meta)
+    assert got == expected(fmt, header, blocks, meta)
+
+
+@pytest.mark.parametrize("out", ["-", "path"])
+def test_csv_at_module_chunk_size(capsys, tmp_path, out):
+    chunk = cli.CSV_CHUNK_ROWS
+    rng = np.random.default_rng(7)
+    sizes = [chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
+    header = ["model", "t", "xi", "k"]
+
+    def block(name, n):
+        xi = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        xi[:: max(1, n // 5)] = np.inf
+        return [name, np.linspace(0.0, np.pi, n), xi, np.arange(n)]
+
+    tables = [[block("a", n)] for n in sizes] + [[block(f"m{n}", n) for n in sizes]]
+    meta = {"command": "test"}
+    for blocks in tables:
+        got = emitted(capsys, tmp_path, "csv", out, header, blocks, meta)
+        assert got == expected("csv", header, blocks, meta)
+
+
+def _csv_peak_bytes(rows: int) -> int:
+    """Peak traced allocation while the CSV writer writes a table of ``rows`` rows."""
+    rng = np.random.default_rng(rows)
+    header = ["model", "xi_y"]
+    blocks = [["adiabatic", rng.random(rows)]]
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            cli._write_csv(sink, header, blocks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_csv_writer_memory_is_bounded_in_rows():
+    # One chunk's strings: a float column of 17-digit str objects (about
+    # 70 B each) and the row strings they are joined into.
+    one_chunk = cli.CSV_CHUNK_ROWS * 2 * 70
+    small = _csv_peak_bytes(6000)
+    large = _csv_peak_bytes(60000)
+    assert large - small <= one_chunk
