@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -33,7 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__, analytic
-from .dynamics import SqueezeSeries, max_heisenberg_violation, run_series, time_scale
+from .dynamics import SCENARIOS, SqueezeSeries, max_heisenberg_violation, run_series, time_scale
 from .units import FieldParams, LabParams, to_reduced
 
 DEFAULT_E_RATIO = 0.25
@@ -167,17 +168,6 @@ def _emit_table(args, header: list[str], blocks: list[list], meta: dict) -> None
     _write_json(args.out, payload)
 
 
-def _theta_rad(theta_deg: float) -> float:
-    """Degrees to radians, exact at the quadrant angles 0, 90, 180."""
-    if theta_deg == 0.0:
-        return 0.0
-    if theta_deg == 90.0:
-        return 0.5 * math.pi
-    if theta_deg == 180.0:
-        return math.pi
-    return math.radians(theta_deg)
-
-
 def _read_config(path: str) -> dict:
     out = {}
     try:
@@ -227,13 +217,17 @@ def _scenario_theta(scenario: str, theta_deg, where: str) -> float:
         return 0.5 * math.pi
     if theta_deg is None:
         raise UsageError(f"{where}: the general scenario requires --theta-deg")
-    return _theta_rad(float(theta_deg))
+    # "+ 0.0" maps -0 degrees to +0.0 radians.
+    return math.radians(theta_deg) + 0.0
 
 
-def _resolve_fields(args, scenario: str, theta_deg_override=None) -> tuple[FieldParams, bool]:
-    """Build FieldParams from exactly one input mode.
+def _resolve_run(args, scenario: str, theta_deg=None) -> FieldParams:
+    """Fields of one run from exactly one input mode, checked before any run.
 
-    Returns ``(params, lab_mode)``; ``lab_mode`` gates --si-time.
+    ``theta_deg`` (sweep-theta) overrides the flag and the config angle.
+    Raises :class:`UsageError` for bad fields, for --si-time without
+    lab-frame inputs, and for a time scale that cannot carry the grid;
+    ``args.t_max`` must already be validated.
     """
     lab_values = [args.e_vpcm, args.b_gauss, args.delta_ghz, args.mu_e, args.mu_b]
     reduced_values = [args.e_ratio, args.r, args.b_ratio]
@@ -248,77 +242,70 @@ def _resolve_fields(args, scenario: str, theta_deg_override=None) -> tuple[Field
         raise UsageError(f"field modes are mutually exclusive, got {' and '.join(modes)}")
     mode = modes[0] if modes else "reduced"
 
-    theta_deg = theta_deg_override
-    if theta_deg is None:
-        theta_deg = getattr(args, "theta_deg", None)
-
-    if mode == "reduced":
-        c_const = _parse_c_const(args.c_const)
-        e_t = DEFAULT_E_RATIO if args.e_ratio is None else float(args.e_ratio)
-        theta = _scenario_theta(scenario, theta_deg, "reduced mode")
-        if scenario == "ku":
-            if args.r is not None or args.b_ratio is not None:
-                raise UsageError("the ku scenario has no magnetic field; drop --r/--b-ratio")
-            b_t = 0.0
-        else:
-            if args.r is not None and args.b_ratio is not None:
-                raise UsageError("--r and --b-ratio are mutually exclusive")
-            if args.b_ratio is not None:
-                b_t = float(args.b_ratio)
-            else:
-                ratio = DEFAULT_R if args.r is None else float(args.r)
-                b_t = ratio * e_t**2
-        try:
-            params = FieldParams(delta_t=1.0, b_t=b_t, e_t=e_t, theta=theta, c_const=c_const)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        return params, False
-
+    # Lab-frame inputs, keyed as in a config file.
+    fields = {}
     if mode == "config":
-        cfg = _read_config(args.config)
-        missing = [key for key in _CONFIG_REQUIRED if key not in cfg]
+        fields = _read_config(args.config)
+        missing = [key for key in _CONFIG_REQUIRED if key not in fields]
         if missing:
             raise UsageError(f"config {args.config} is missing {', '.join(missing)}")
-        if args.c_const is not None:
-            c_const = _parse_c_const(args.c_const)
-        elif "c_const" in cfg:
-            c_const = _parse_c_const(cfg["c_const"])
-        else:
-            c_const = -1
-        if theta_deg is None:
-            theta_deg = cfg.get("theta_deg")
-        theta = _scenario_theta(scenario, theta_deg, f"config {args.config}")
-        delta_hz = cfg["delta_hz"]
-        e_vpcm = cfg["e_vpcm"]
-        b_gauss = cfg["b_gauss"]
-        mu_b = cfg.get("mu_b_hz_per_gauss", DEFAULT_MU_B)
-        mu_e = cfg.get("mu_e_hz_per_vpcm", DEFAULT_MU_E)
-    else:
-        c_const = _parse_c_const(args.c_const)
+    elif mode == "lab":
         if args.e_vpcm is None:
             raise UsageError("lab mode requires --e-vpcm")
-        theta = _scenario_theta(scenario, theta_deg, "lab mode")
-        delta_hz = (DEFAULT_DELTA_GHZ if args.delta_ghz is None else float(args.delta_ghz)) * 1e9
-        e_vpcm = float(args.e_vpcm)
-        b_gauss = 0.0 if args.b_gauss is None else float(args.b_gauss)
-        mu_b = DEFAULT_MU_B if args.mu_b is None else float(args.mu_b)
-        mu_e = DEFAULT_MU_E if args.mu_e is None else float(args.mu_e)
+        flags = {
+            "delta_hz": (DEFAULT_DELTA_GHZ if args.delta_ghz is None else args.delta_ghz) * 1e9,
+            "e_vpcm": args.e_vpcm,
+            "b_gauss": 0.0 if args.b_gauss is None else args.b_gauss,
+            "mu_b_hz_per_gauss": args.mu_b,
+            "mu_e_hz_per_vpcm": args.mu_e,
+        }
+        fields = {key: value for key, value in flags.items() if value is not None}
+    c_const = _parse_c_const(args.c_const if args.c_const is not None else fields.get("c_const"))
+    if theta_deg is None:
+        theta_deg = getattr(args, "theta_deg", None)
+    if theta_deg is None:
+        theta_deg = fields.get("theta_deg")
+    where = f"config {args.config}" if mode == "config" else f"{mode} mode"
+    theta = _scenario_theta(scenario, theta_deg, where)
 
     try:
-        lab = LabParams(
-            lambda_doubling=delta_hz,
-            e_field=e_vpcm,
-            b_field=b_gauss,
-            theta=theta,
-            bohr_magneton=mu_b,
-            dipole_moment=mu_e,
-        )
-        params = to_reduced(lab, c_const=c_const)
+        if mode != "reduced":
+            lab = LabParams(
+                lambda_doubling=fields["delta_hz"],
+                e_field=fields["e_vpcm"],
+                b_field=fields["b_gauss"],
+                theta=theta,
+                bohr_magneton=fields.get("mu_b_hz_per_gauss", DEFAULT_MU_B),
+                dipole_moment=fields.get("mu_e_hz_per_vpcm", DEFAULT_MU_E),
+            )
+            params = to_reduced(lab, c_const=c_const)
+        else:
+            e_t = DEFAULT_E_RATIO if args.e_ratio is None else args.e_ratio
+            if scenario == "ku":
+                if args.r is not None or args.b_ratio is not None:
+                    raise UsageError("the ku scenario has no magnetic field; drop --r/--b-ratio")
+                b_t = 0.0
+            elif args.r is not None and args.b_ratio is not None:
+                raise UsageError("--r and --b-ratio are mutually exclusive")
+            elif args.b_ratio is not None:
+                b_t = args.b_ratio
+            else:
+                b_t = (DEFAULT_R if args.r is None else args.r) * e_t**2
+            params = FieldParams(delta_t=1.0, b_t=b_t, e_t=e_t, theta=theta, c_const=c_const)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if scenario == "ku" and params.b_t != 0.0:
         raise UsageError("the ku scenario has no magnetic field; set b_gauss = 0")
-    return params, True
+    if args.si_time and mode == "reduced":
+        raise UsageError("--si-time needs lab-frame inputs (lab flags or --config)")
+
+    try:
+        scale = time_scale(params, scenario)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not math.isfinite(args.t_max / scale):
+        raise UsageError(f"time grid overflows: --t-max {args.t_max!r} at time scale {scale!r}")
+    return params
 
 
 def _parse_n_policy(text: str):
@@ -340,41 +327,16 @@ def _time_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.t_max, args.points)
 
 
-def _check_time_scale(params: FieldParams, scenario: str, t_max: float) -> None:
-    """Reject fields whose time scale cannot carry the grid (exit 2, before any run)."""
-    try:
-        scale = time_scale(params, scenario)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if not math.isfinite(t_max / scale):
-        raise UsageError(f"time grid overflows: --t-max {t_max!r} at time scale {scale!r}")
-
-
-def _check_si_time(args, lab_mode: bool) -> None:
-    if args.si_time and not lab_mode:
-        raise UsageError("--si-time needs lab-frame inputs (lab flags or --config)")
-
-
-def _time_column(series: SqueezeSeries, si_time: bool) -> tuple[str, np.ndarray]:
+def _run_table(series: SqueezeSeries, si_time: bool) -> tuple[list[str], list]:
+    """One run's header and cells: its time column, then its two squeezing columns."""
     if si_time:
-        return "t_seconds", series.times_phys / (2.0 * math.pi)
-    return "t_dimensionless", series.times
-
-
-def _series_cells(series: SqueezeSeries, si_time: bool) -> list:
-    """One run's table cells: its time column, then its two squeezing columns."""
-    return [_time_column(series, si_time)[1]] + [col for _, col in series.xi_pair()]
-
-
-def _params_dict(params: FieldParams) -> dict:
-    return {
-        "delta_t": params.delta_t,
-        "b_t": params.b_t,
-        "e_t": params.e_t,
-        "theta": params.theta,
-        "c_const": params.c_const,
-        "kappa_t": params.kappa_t,
-    }
+        header, cells = ["t_seconds"], [series.times_phys / (2.0 * math.pi)]
+    else:
+        header, cells = ["t_dimensionless"], [series.times]
+    for label, values in series.xi_pair():
+        header.append(label)
+        cells.append(values)
+    return header, cells
 
 
 def _xi_minima(series: SqueezeSeries) -> dict:
@@ -386,108 +348,93 @@ def _xi_minima(series: SqueezeSeries) -> dict:
     return out
 
 
-def _minima_lines(prefix: str, series: SqueezeSeries) -> list[str]:
-    lines = []
-    for label, rec in _xi_minima(series).items():
-        lines.append(
-            f"{prefix}min {label} = {_fmt(rec['value'])}"
-            f" at t_dimensionless = {_fmt(rec['t_dimensionless'])}"
-        )
-    return lines
+def _minima_lines(prefix: str, minima: dict) -> list[str]:
+    """Summary lines of one run's :func:`_xi_minima`."""
+    return [
+        f"{prefix}min {label} = {_fmt(rec['value'])}"
+        f" at t_dimensionless = {_fmt(rec['t_dimensionless'])}"
+        for label, rec in minima.items()
+    ]
 
 
 def cmd_simulate(args) -> int:
-    params, lab_mode = _resolve_fields(args, args.scenario)
-    _check_si_time(args, lab_mode)
     n_policy = _parse_n_policy(args.n_policy)
     times = _time_grid(args)
-    _check_time_scale(params, args.scenario, args.t_max)
+    params = _resolve_run(args, args.scenario)
     model_names = ("adiabatic", "full") if args.model == "both" else (args.model,)
-    runs = [
-        (name, run_series(params, args.scenario, MODEL_MAP[name], times, n_policy))
+    runs = {
+        name: run_series(params, args.scenario, MODEL_MAP[name], times, n_policy)
         for name in model_names
-    ]
+    }
 
-    first = runs[0][1]
-    header = [_time_column(first, args.si_time)[0]] + [label for label, _ in first.xi_pair()]
-    blocks = [_series_cells(series, args.si_time) for _, series in runs]
+    tables = [_run_table(series, args.si_time) for series in runs.values()]
+    header = tables[0][0]
+    blocks = [cells for _, cells in tables]
     if args.model == "both":
-        header = ["model"] + header
-        blocks = [[name] + block for (name, _), block in zip(runs, blocks)]
+        header = ["model", *header]
+        blocks = [[name, *cells] for name, cells in zip(runs, blocks)]
 
+    first = runs[model_names[0]]
+    params_dict = dataclasses.asdict(params)
+    xi_min = {name: _xi_minima(series) for name, series in runs.items()}
     meta = {
         "command": "simulate",
         "scenario": args.scenario,
         "model": args.model,
         "n_policy": first.n_policy,
-        "params": _params_dict(params),
+        "params": params_dict,
         "time_scale": first.time_scale,
-        "xi_min": {name: _xi_minima(series) for name, series in runs},
+        "xi_min": xi_min,
         "heisenberg_violation": {
-            name: max_heisenberg_violation(series) for name, series in runs
+            name: max_heisenberg_violation(series) for name, series in runs.items()
         },
         "convention": CONVENTION_NOTE,
     }
     _emit_table(args, header, blocks, meta)
     if args.out != "-":
         print(f"scenario={args.scenario} model={args.model} n_policy={first.n_policy}")
-        print("params: " + " ".join(f"{k}={_fmt(v)}" for k, v in _params_dict(params).items()))
-        for name, series in runs:
-            for line in _minima_lines(f"{name} ", series):
+        print("params: " + " ".join(f"{k}={_fmt(v)}" for k, v in params_dict.items()))
+        for name, minima in xi_min.items():
+            for line in _minima_lines(f"{name} ", minima):
                 print(line)
     return 0
 
 
 def cmd_sweep_theta(args) -> int:
-    if args.scenario != "general":
-        raise UsageError("sweep-theta only runs the general scenario")
     try:
         theta_list = [float(part) for part in args.theta_list.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --theta-list {args.theta_list!r}") from exc
     if not theta_list:
         raise UsageError("--theta-list is empty")
-    if args.model == "both":
-        raise UsageError("sweep-theta runs one model; pick adiabatic or full")
     times = _time_grid(args)
-    angles = []
-    for theta_deg in theta_list:
-        params, lab_mode = _resolve_fields(args, "general", theta_deg_override=theta_deg)
-        _check_si_time(args, lab_mode)
-        _check_time_scale(params, "general", args.t_max)
-        angles.append((theta_deg, params))
+    angles = [(theta_deg, _resolve_run(args, "general", theta_deg)) for theta_deg in theta_list]
 
     blocks = []
     summaries = []
     for theta_deg, params in angles:
         series = run_series(params, "general", MODEL_MAP[args.model], times)
-        blocks.append([theta_deg] + _series_cells(series, args.si_time))
+        header, cells = _run_table(series, args.si_time)
+        blocks.append([theta_deg, *cells])
         summaries.append(
             {
                 "theta_deg": theta_deg,
-                "params": _params_dict(params),
+                "params": dataclasses.asdict(params),
                 "time_scale": series.time_scale,
                 "xi_min": _xi_minima(series),
                 "heisenberg_violation": max_heisenberg_violation(series),
             }
         )
-    header = ["theta_deg", _time_column(series, args.si_time)[0]]
-    header += [label for label, _ in series.xi_pair()]
     meta = {
         "command": "sweep-theta",
         "model": args.model,
         "per_theta": summaries,
         "convention": CONVENTION_NOTE,
     }
-    _emit_table(args, header, blocks, meta)
+    _emit_table(args, ["theta_deg", *header], blocks, meta)
     if args.out != "-":
         for entry in summaries:
-            parts = [f"theta_deg={_fmt(entry['theta_deg'])}"]
-            for label, rec in entry["xi_min"].items():
-                parts.append(
-                    f"min {label} = {_fmt(rec['value'])}"
-                    f" at t_dimensionless = {_fmt(rec['t_dimensionless'])}"
-                )
+            parts = [f"theta_deg={_fmt(entry['theta_deg'])}", *_minima_lines("", entry["xi_min"])]
             print("  ".join(parts))
     return 0
 
@@ -524,21 +471,17 @@ def cmd_optimize_r(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    params, lab_mode = _resolve_fields(args, args.scenario)
-    _check_si_time(args, lab_mode)
-    if args.model != "both":
-        raise UsageError("compare always runs both models; drop --model")
     n_policy = _parse_n_policy(args.n_policy)
     times = _time_grid(args)
-    _check_time_scale(params, args.scenario, args.t_max)
+    params = _resolve_run(args, args.scenario)
     four = run_series(params, args.scenario, "four_dim", times, n_policy)
     eight = run_series(params, args.scenario, "eight_dim", times, n_policy)
 
-    time_name, tcol = _time_column(four, args.si_time)
-    header = [time_name]
-    block = [tcol]
+    four_header, four_cells = _run_table(four, args.si_time)
+    header = four_header[:1]
+    block = four_cells[:1]
     gaps = {}
-    for (label, col4), (_, col8) in zip(four.xi_pair(), eight.xi_pair()):
+    for label, col4, (_, col8) in zip(four_header[1:], four_cells[1:], eight.xi_pair()):
         header.extend([f"{label}_adiabatic", f"{label}_full"])
         block.extend([col4, col8])
         # Summary gap over the squeezing band only: near a polarization zero
@@ -551,19 +494,28 @@ def cmd_compare(args) -> int:
         "command": "compare",
         "scenario": args.scenario,
         "n_policy": four.n_policy,
-        "params": _params_dict(params),
+        "params": dataclasses.asdict(params),
         "xi_min": summary,
         "max_pointwise_gap": gaps,
         "convention": CONVENTION_NOTE,
     }
     _emit_table(args, header, [block], meta)
     if args.out != "-":
-        for name, series in (("adiabatic", four), ("full", eight)):
-            for line in _minima_lines(f"{name} ", series):
+        for name, minima in summary.items():
+            for line in _minima_lines(f"{name} ", minima):
                 print(line)
         for label, gap in gaps.items():
             print(f"max |adiabatic - full| for {label} = {_fmt(gap)}")
     return 0
+
+
+def _add_run_args(sp, n_policy: str) -> None:
+    sp.add_argument("--scenario", choices=SCENARIOS, required=True)
+    sp.add_argument(
+        "--n-policy",
+        default=n_policy,
+        help=f"analysis angle: formula, scan, or fixed:<radians> (default {n_policy})",
+    )
 
 
 def _add_field_args(sp, with_theta: bool = True) -> None:
@@ -611,22 +563,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="run one scenario over a time grid")
-    sp.add_argument("--scenario", choices=("ku", "lnl", "general"), required=True)
+    _add_run_args(sp, n_policy="formula")
     sp.add_argument("--model", choices=("adiabatic", "full", "both"), default="adiabatic")
-    sp.add_argument(
-        "--n-policy",
-        default="formula",
-        help="analysis angle: formula, scan, or fixed:<radians> (default formula)",
-    )
     _add_field_args(sp)
     _add_grid_args(sp)
     _add_output_args(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep-theta", help="field-angle sweep of the general scenario")
-    sp.add_argument("--scenario", choices=("ku", "lnl", "general"), default="general")
     sp.add_argument("--theta-list", required=True, help="comma-separated angles in degrees")
-    sp.add_argument("--model", choices=("adiabatic", "full", "both"), default="adiabatic")
+    sp.add_argument("--model", choices=("adiabatic", "full"), default="adiabatic")
     _add_field_args(sp, with_theta=False)
     _add_grid_args(sp)
     _add_output_args(sp)
@@ -642,13 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_optimize_r)
 
     sp = sub.add_parser("compare", help="four-level reduction vs full eight-level model")
-    sp.add_argument("--scenario", choices=("ku", "lnl", "general"), required=True)
-    sp.add_argument("--model", choices=("adiabatic", "full", "both"), default="both")
-    sp.add_argument(
-        "--n-policy",
-        default="scan",
-        help="analysis angle: formula, scan, or fixed:<radians> (default scan)",
-    )
+    _add_run_args(sp, n_policy="scan")
     _add_field_args(sp)
     _add_grid_args(sp)
     _add_output_args(sp)

@@ -153,10 +153,13 @@ def time_scale(params: FieldParams, scenario: str) -> float:
     """Physical rate per unit of dimensionless time for a scenario.
 
     ``|kappa_t|`` for "ku" (1 when there is no twisting, so the axis is raw
-    time) and the precession rate P otherwise; a vanishing P raises
+    time) and the precession rate P otherwise.  A vanishing P, or a
+    ``kappa_t`` that underflows to zero under a nonzero ``e_t``, raises
     ``ValueError``.
     """
     if scenario == "ku":
+        if params.kappa_t == 0.0 and params.e_t != 0.0:
+            raise ValueError(f"twisting strength underflows: kappa_t is 0 at e_t = {params.e_t!r}")
         scale = abs(params.kappa_t)
         return scale if scale != 0.0 else 1.0
     scale = analytic.precession_rate(params.kappa_t, params.b_t)
@@ -179,15 +182,18 @@ def run_series(
     field-plus-twisting from the z-stretched state).  ``model`` selects the
     four-level reduction or the full eight-level evolution (initial state
     embedded in the upper doublet block).  ``times`` is in units of
-    1/|kappa_t| for "ku" and 1/P otherwise.  ``n_policy`` controls the
-    analysis angle for twisting runs: "formula" (closed-form optimum),
-    "scan" (per-point numerical minimization), or a fixed angle in radians;
-    uniform-field runs always analyze the unrotated quadratures.
+    1/|kappa_t| for "ku" and 1/P otherwise.  ``n_policy`` is the analysis
+    angle: a fixed angle in radians in any scenario, or "formula"
+    (closed-form optimum) or "scan" (per-point numerical minimization),
+    which twisting runs honor and uniform-field runs read as the unrotated
+    quadratures (angle 0).  Any other string raises ``ValueError``.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    if isinstance(n_policy, str) and n_policy not in ("formula", "scan"):
+        raise ValueError(f"unknown n_policy {n_policy!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("empty time grid")
@@ -219,25 +225,18 @@ def run_series(
     var_z = m["z2"] - m["mz"] ** 2
     cov_yz = m["sym_yz"] - m["my"] * m["mz"]
 
-    if scenario == "ku":
-        if isinstance(n_policy, str):
-            if n_policy == "formula":
-                n = np.asarray(analytic.optimal_axis_angle(params.kappa_t, times_phys))
-            elif n_policy == "scan":
-                n = _scan_angles(var_y, var_z, cov_yz)
-            else:
-                raise ValueError(f"unknown n_policy {n_policy!r}")
-            policy_label = n_policy
-        else:
-            n = np.full(times.size, float(n_policy))
-            policy_label = f"fixed:{float(n_policy)!r}"
-    else:
+    if scenario != "ku" and isinstance(n_policy, str):
         # Uniform-field squeezing is analyzed in the unrotated x/y pair.
-        n = np.zeros(times.size)
-        policy_label = "fixed:0.0"
-        if not isinstance(n_policy, str):
-            n = np.full(times.size, float(n_policy))
-            policy_label = f"fixed:{float(n_policy)!r}"
+        n_policy = 0.0
+    if not isinstance(n_policy, str):
+        n = np.full(times.size, float(n_policy))
+        policy_label = f"fixed:{float(n_policy)!r}"
+    elif n_policy == "formula":
+        n = np.asarray(analytic.optimal_axis_angle(params.kappa_t, times_phys))
+        policy_label = n_policy
+    else:
+        n = _scan_angles(var_y, var_z, cov_yz)
+        policy_label = n_policy
 
     cn = np.cos(n)
     sn = np.sin(n)

@@ -242,12 +242,8 @@ def test_config_c_const_flag_override(capsys, tmp_path):
         # c_const is a sign
         ("simulate", "--scenario", "ku", "--c-const", "2"),
         # sweep-theta constraints
-        ("sweep-theta", "--scenario", "ku", "--theta-list", "90"),
-        ("sweep-theta", "--theta-list", "90", "--model", "both"),
         ("sweep-theta", "--theta-list", ""),
         ("sweep-theta", "--theta-list", "10,abc"),
-        # compare runs both models by construction
-        ("compare", "--scenario", "ku", "--model", "adiabatic"),
         # optimize-r guards
         ("optimize-r", "--format", "csv", "--grid-points", "2"),
         ("optimize-r", "--r-max", "0"),
@@ -261,6 +257,12 @@ def test_config_c_const_flag_override(capsys, tmp_path):
         # finite fields whose time scale breaks the grid
         ("simulate", "--scenario", "ku", "--e-ratio", "1e-155", "--points", "3"),
         ("simulate", "--scenario", "lnl", "--e-ratio", "0"),
+        # a nonzero drive whose kappa_t underflows to 0.0
+        ("simulate", "--scenario", "ku", "--e-ratio", "1e-170", "--points", "3"),
+        # every sweep angle goes through the same field checks
+        ("sweep-theta", "--theta-list", "90", "--si-time"),
+        # lab-frame fields: the twisting-only scenario takes no magnetic field
+        ("simulate", "--scenario", "ku", "--e-vpcm", "100", "--b-gauss", "5"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -341,6 +343,50 @@ def test_argparse_rejects_unknown_scenario(capsys):
         cli.main(["simulate", "--scenario", "warp"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sweep-theta only runs the general scenario and one model at a time
+        ("sweep-theta", "--scenario", "ku", "--theta-list", "90"),
+        ("sweep-theta", "--scenario", "general", "--theta-list", "90"),
+        ("sweep-theta", "--theta-list", "90", "--model", "both"),
+        # compare always runs both models and takes no --model
+        ("compare", "--scenario", "ku", "--model", "adiabatic"),
+        ("compare", "--scenario", "ku", "--model", "both"),
+    ],
+)
+def test_argparse_rejects_removed_options(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("si_time", [False, True])
+def test_config_file_matches_lab_flags(capsys, tmp_path, si_time):
+    cfg = tmp_path / "fields.cfg"
+    cfg.write_text("delta_hz = 1.667e9\ne_vpcm = 1000\nb_gauss = 20\ntheta_deg = 40\n")
+    base = ["simulate", "--scenario", "general", "--points", "9", "--format", "json"]
+    if si_time:
+        base.append("--si-time")
+    code_c, out_c, _ = run_cli(capsys, *base, "--config", str(cfg))
+    code_l, out_l, _ = run_cli(
+        capsys, *base, "--delta-ghz", "1.667", "--e-vpcm", "1000", "--b-gauss", "20",
+        "--theta-deg", "40",
+    )
+    assert code_c == code_l == 0
+    assert out_c == out_l
+    assert json.loads(out_c)["columns"][0] == ("t_seconds" if si_time else "t_dimensionless")
+
+
+def test_sweep_theta_negative_zero_angle_is_positive_zero(capsys):
+    code, out, _ = run_cli(capsys, "sweep-theta", "--theta-list", "-0", "--format", "json")
+    assert code == 0
+    theta = json.loads(out)["per_theta"][0]["params"]["theta"]
+    assert theta == 0.0
+    assert math.copysign(1.0, theta) == 1.0
 
 
 def test_internal_failure_exits_three(capsys, monkeypatch):

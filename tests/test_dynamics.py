@@ -228,6 +228,15 @@ def test_run_series_validation():
     static = FieldParams(delta_t=1.0, b_t=0.0, e_t=0.0)
     with pytest.raises(ValueError):
         run_series(static, "lnl", "four_dim", times)
+    # an unknown policy string is rejected in every scenario, not only ku
+    for scenario in ("lnl", "general"):
+        with pytest.raises(ValueError, match="n_policy"):
+            run_series(_uniform_field_params(), scenario, "four_dim", times, n_policy="sideways")
+    # a nonzero drive whose kappa_t underflows to 0.0 is not "no twisting"
+    underflow = _twisting_params(e_t=1e-170)
+    assert underflow.kappa_t == 0.0
+    with pytest.raises(ValueError, match="underflows"):
+        run_series(underflow, "ku", "four_dim", times)
 
 
 def test_twisting_off_is_flat_unit_xi():
