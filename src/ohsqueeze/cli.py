@@ -197,12 +197,12 @@ def _parse_c_const(text) -> int:
     if text in (None, ""):
         return -1
     try:
-        value = int(float(text))
+        value = float(text)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad --c-const value {text!r}") from exc
-    if value not in (1, -1):
+    if value not in (1.0, -1.0):
         raise UsageError("--c-const must be 1 or -1")
-    return value
+    return int(value)
 
 
 def _scenario_theta(scenario: str, theta_deg, where: str) -> float:
@@ -313,9 +313,12 @@ def _parse_n_policy(text: str):
         return text
     if text.startswith("fixed:"):
         try:
-            return float(text[len("fixed:"):])
+            angle = float(text[len("fixed:"):])
         except ValueError as exc:
             raise UsageError(f"bad fixed analysis angle in {text!r}") from exc
+        if not math.isfinite(angle):
+            raise UsageError(f"fixed analysis angle must be finite, got {text!r}")
+        return angle
     raise UsageError(f"--n-policy must be formula, scan, or fixed:<radians>, got {text!r}")
 
 

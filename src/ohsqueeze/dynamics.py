@@ -25,26 +25,31 @@ from .optimize import golden_section
 from .spin import embed_initial_state, make_spin_ops, stretched_state
 from .units import FieldParams
 
-SCENARIOS = ("ku", "lnl", "general")
+#: Scenario name -> (Hamiltonian family, stretched initial-state axis).
+_SCENARIO = {
+    "ku": (HamiltonianKind.KITAGAWA_UEDA, "x"),
+    "lnl": (HamiltonianKind.LAW_NG_LEUNG, "-z"),
+    "general": (HamiltonianKind.GENERAL_THETA, "-z"),
+}
+SCENARIOS = tuple(_SCENARIO)
 MODELS = ("four_dim", "eight_dim")
 
 _J = make_spin_ops(1.5)
-_JX2 = _J.jx @ _J.jx
-_JY2 = _J.jy @ _J.jy
-_JZ2 = _J.jz @ _J.jz
-_SYM_YZ = 0.5 * (_J.jy @ _J.jz + _J.jz @ _J.jy)
-
-_SCENARIO_KIND = {
-    "ku": HamiltonianKind.KITAGAWA_UEDA,
-    "lnl": HamiltonianKind.LAW_NG_LEUNG,
-    "general": HamiltonianKind.GENERAL_THETA,
-}
-_SCENARIO_AXIS = {"ku": "x", "lnl": "-z", "general": "-z"}
+#: Jx, Jy, Jz, their squares and the symmetrized y-z product: every moment
+#: is one trace.  Stacking the traces sums in another order and moves bits.
+_MOMENT_OPS = (
+    _J.jx, _J.jy, _J.jz,
+    _J.jx @ _J.jx, _J.jy @ _J.jy, _J.jz @ _J.jz,
+    0.5 * (_J.jy @ _J.jz + _J.jz @ _J.jy),
+)
 
 #: Angular resolution of the coarse analysis-angle scan (one degree).
 SCAN_GRID_STEP = math.pi / 180.0
 #: Golden-section refinement tolerance for the analysis angle, in radians.
 SCAN_ANGLE_TOL = 1e-6
+_SCAN_GRID = np.arange(180) * SCAN_GRID_STEP
+#: Points the coarse scan tabulates at a time, so its memory is bounded.
+_SCAN_BLOCK_ROWS = 1024
 
 
 def _evolve_table(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -97,32 +102,39 @@ class SqueezeSeries:
         return ("xi_x", self.xi_x), ("xi_y", self.xi_y)
 
 
+def _scan_grid_argmin(var_y: np.ndarray, var_z: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Per-point index of the one-degree grid angle least in rotated y variance.
+
+    The rotated variance is the quadratic form
+    ``cos^2(n) var_y + sin^2(n) var_z - sin(2n) cov`` (period pi).  It is
+    tabulated :data:`_SCAN_BLOCK_ROWS` points at a time.
+    """
+    c2 = np.cos(_SCAN_GRID) ** 2
+    s2 = np.sin(_SCAN_GRID) ** 2
+    cs = np.sin(2.0 * _SCAN_GRID)
+    best = np.empty(var_y.size, dtype=np.intp)
+    for lo in range(0, var_y.size, _SCAN_BLOCK_ROWS):
+        rows = slice(lo, lo + _SCAN_BLOCK_ROWS)
+        best[rows] = np.argmin(
+            var_y[rows, None] * c2 + var_z[rows, None] * s2 - cov[rows, None] * cs, axis=1
+        )
+    return best
+
+
 def _scan_angles(var_y: np.ndarray, var_z: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Per-point analysis angle minimizing the rotated y variance.
 
-    The rotated variance is the quadratic form
-    ``cos^2(n) var_y + sin^2(n) var_z - sin(2n) cov`` (period pi); a
-    one-degree grid brackets the minimum and golden-section refines it.
+    The one-degree grid brackets the minimum and golden-section refines it.
     """
-    grid = np.arange(180) * SCAN_GRID_STEP
-    c2 = np.cos(grid) ** 2
-    s2 = np.sin(grid) ** 2
-    cs = np.sin(2.0 * grid)
-    table = (
-        var_y[:, None] * c2[None, :]
-        + var_z[:, None] * s2[None, :]
-        - cov[:, None] * cs[None, :]
-    )
-    best = np.argmin(table, axis=1)
     out = np.empty(var_y.size)
-    for i, k in enumerate(best):
+    for i, k in enumerate(_scan_grid_argmin(var_y, var_z, cov)):
         vy, vz, cyz = var_y[i], var_z[i], cov[i]
 
         def rotated_var(n: float) -> float:
             c, s = math.cos(n), math.sin(n)
             return c * c * vy + s * s * vz - math.sin(2.0 * n) * cyz
 
-        center = grid[k]
+        center = _SCAN_GRID[k]
         n_ref, _ = golden_section(
             rotated_var,
             center - SCAN_GRID_STEP,
@@ -131,22 +143,6 @@ def _scan_angles(var_y: np.ndarray, var_z: np.ndarray, cov: np.ndarray) -> np.nd
         )
         out[i] = n_ref if rotated_var(n_ref) <= rotated_var(center) else center
     return out
-
-
-def _moment_tables(rho: np.ndarray) -> dict[str, np.ndarray]:
-    def tr(op: np.ndarray) -> np.ndarray:
-        return np.einsum("tab,ba->t", rho, op).real
-
-    return {
-        "mx": tr(_J.jx),
-        "my": tr(_J.jy),
-        "mz": tr(_J.jz),
-        "x2": tr(_JX2),
-        "y2": tr(_JY2),
-        "z2": tr(_JZ2),
-        "sym_yz": tr(_SYM_YZ),
-        "purity": np.einsum("tab,tba->t", rho, rho).real,
-    }
 
 
 def time_scale(params: FieldParams, scenario: str) -> float:
@@ -183,7 +179,7 @@ def run_series(
     four-level reduction or the full eight-level evolution (initial state
     embedded in the upper doublet block).  ``times`` is in units of
     1/|kappa_t| for "ku" and 1/P otherwise.  ``n_policy`` is the analysis
-    angle: a fixed angle in radians in any scenario, or "formula"
+    angle: a finite fixed angle in radians in any scenario, or "formula"
     (closed-form optimum) or "scan" (per-point numerical minimization),
     which twisting runs honor and uniform-field runs read as the unrotated
     quadratures (angle 0).  Any other string raises ``ValueError``.
@@ -192,8 +188,15 @@ def run_series(
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    if isinstance(n_policy, str) and n_policy not in ("formula", "scan"):
+    if not isinstance(n_policy, str):
+        n_policy = float(n_policy)
+        if not math.isfinite(n_policy):
+            raise ValueError(f"fixed analysis angle must be finite, got {n_policy!r}")
+    elif n_policy not in ("formula", "scan"):
         raise ValueError(f"unknown n_policy {n_policy!r}")
+    elif scenario != "ku":
+        # Uniform-field squeezing is analyzed in the unrotated x/y pair.
+        n_policy = 0.0
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("empty time grid")
@@ -206,58 +209,49 @@ def run_series(
     if not np.all(np.isfinite(times_phys)):
         raise ValueError(f"time grid overflows at time scale {scale!r}")
 
-    axis = _SCENARIO_AXIS[scenario]
+    kind, axis = _SCENARIO[scenario]
+    psi0 = stretched_state(1.5, axis)
     if model == "four_dim":
-        h = build_named(_SCENARIO_KIND[scenario], params)
-        psi0 = stretched_state(1.5, axis)
-        states = _evolve_table(h, psi0, times_phys)
-        rho = np.einsum("ta,tb->tab", states, states.conj())
+        h = build_named(kind, params)
     else:
         h = build_full(params)
-        psi0 = embed_initial_state(stretched_state(1.5, axis), "f")
-        states = _evolve_table(h, psi0, times_phys)
-        blocks = states.reshape(-1, 2, 4)
-        rho = np.einsum("tsa,tsb->tab", blocks, blocks.conj())
+        psi0 = embed_initial_state(psi0, "f")
+    # A four-level state is the one-block case of the doublet-block reduction.
+    blocks = _evolve_table(h, psi0, times_phys).reshape(times.size, -1, 4)
+    rho = np.einsum("tsa,tsb->tab", blocks, blocks.conj())
 
-    m = _moment_tables(rho)
-    var_x = m["x2"] - m["mx"] ** 2
-    var_y = m["y2"] - m["my"] ** 2
-    var_z = m["z2"] - m["mz"] ** 2
-    cov_yz = m["sym_yz"] - m["my"] * m["mz"]
+    mx, my, mz, x2, y2, z2, sym_yz = (np.einsum("tab,ba->t", rho, op).real for op in _MOMENT_OPS)
+    var_x = x2 - mx**2
+    var_y = y2 - my**2
+    var_z = z2 - mz**2
+    cov_yz = sym_yz - my * mz
 
-    if scenario != "ku" and isinstance(n_policy, str):
-        # Uniform-field squeezing is analyzed in the unrotated x/y pair.
-        n_policy = 0.0
-    if not isinstance(n_policy, str):
-        n = np.full(times.size, float(n_policy))
-        policy_label = f"fixed:{float(n_policy)!r}"
-    elif n_policy == "formula":
+    if n_policy == "formula":
         n = np.asarray(analytic.optimal_axis_angle(params.kappa_t, times_phys))
-        policy_label = n_policy
-    else:
+    elif n_policy == "scan":
         n = _scan_angles(var_y, var_z, cov_yz)
-        policy_label = n_policy
+    else:
+        n = np.full(times.size, n_policy)
+        n_policy = f"fixed:{n_policy!r}"
 
     cn = np.cos(n)
     sn = np.sin(n)
-    mean_y_n = cn * m["my"] - sn * m["mz"]
-    mean_z_n = cn * m["mz"] + sn * m["my"]
-    mean_y2_n = cn**2 * m["y2"] + sn**2 * m["z2"] - 2.0 * cn * sn * m["sym_yz"]
-    mean_z2_n = cn**2 * m["z2"] + sn**2 * m["y2"] + 2.0 * cn * sn * m["sym_yz"]
-    var_y_n = mean_y2_n - mean_y_n**2
-    var_z_n = mean_z2_n - mean_z_n**2
+    mean_y_n = cn * my - sn * mz
+    mean_z_n = cn * mz + sn * my
+    var_y_n = cn**2 * y2 + sn**2 * z2 - 2.0 * cn * sn * sym_yz - mean_y_n**2
+    var_z_n = cn**2 * z2 + sn**2 * y2 + 2.0 * cn * sn * sym_yz - mean_z_n**2
 
     return SqueezeSeries(
         scenario=scenario,
         model=model,
-        n_policy=policy_label,
+        n_policy=n_policy,
         time_scale=float(scale),
         times=times,
         times_phys=times_phys,
         n_angle=n,
-        mean_jx=m["mx"],
-        mean_jy=m["my"],
-        mean_jz=m["mz"],
+        mean_jx=mx,
+        mean_jy=my,
+        mean_jz=mz,
         var_jx=var_x,
         var_jy=var_y,
         var_jz=var_z,
@@ -266,11 +260,11 @@ def run_series(
         mean_jz_n=mean_z_n,
         var_jy_n=var_y_n,
         var_jz_n=var_z_n,
-        xi_y_n=xi_wineland(spread(var_y_n), m["mx"]),
-        xi_z_n=xi_wineland(spread(var_z_n), m["mx"]),
-        xi_x=xi_wineland(spread(var_x), m["mz"]),
-        xi_y=xi_wineland(spread(var_y), m["mz"]),
-        purity=m["purity"],
+        xi_y_n=xi_wineland(spread(var_y_n), mx),
+        xi_z_n=xi_wineland(spread(var_z_n), mx),
+        xi_x=xi_wineland(spread(var_x), mz),
+        xi_y=xi_wineland(spread(var_y), mz),
+        purity=np.einsum("tab,tba->t", rho, rho).real,
     )
 
 

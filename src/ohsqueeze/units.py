@@ -72,7 +72,7 @@ class FieldParams:
     conserved pseudo-spin projection of the adiabatic branch.  ``delta_t``
     must be nonzero; negative values are allowed so spectral-symmetry
     checks can flip it, while :func:`to_reduced` always produces positive
-    ones.
+    ones.  ``b_t`` may be negative (a reversed field); ``theta`` lies in [0, pi].
     """
 
     delta_t: float
@@ -95,6 +95,8 @@ class FieldParams:
             raise ValueError("delta_t must be nonzero")
         if self.e_t < 0:
             raise ValueError("e_t must be non-negative")
+        if not 0.0 <= self.theta <= math.pi:
+            raise ValueError("theta must lie in [0, pi]")
         if self.c_const not in (1, -1):
             raise ValueError(f"c_const must be +1 or -1, got {self.c_const!r}")
         kappa = -self.c_const * self.e_t**2 / self.delta_t

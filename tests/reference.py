@@ -5,7 +5,9 @@ propagator built from ``np.linalg.eigh``, a partial trace written as an
 explicit loop over the slow index, the eight-level Hamiltonian taken from
 its entry-by-entry tabulation, and rotated-quadrature moments taken on the
 frame-rotated state ``exp(-i n Jx) rho exp(+i n Jx)`` rather than from the
-rotated operators.  The batched kernel shares none of these steps.
+rotated operators.  The batched kernel shares none of these steps.  The
+coarse analysis-angle scan is kept in its whole-table form, against which
+the kernel's blocked table is checked.
 
 The table text oracles at the end format one cell at a time and build the
 whole text before returning it, the plain route the CLI's chunked writer
@@ -95,6 +97,16 @@ def moments(params, scenario, model, t_phys, n):
         "cov_jy_jz": expect(sym_yz, rho) - mean_y * mean_z,
         "purity": float(np.trace(rho @ rho).real),
     }
+
+
+def scan_grid_argmin(var_y, var_z, cov):
+    """Coarse analysis-angle scan with every point's one-degree row in one table."""
+    grid = np.arange(180) * (math.pi / 180.0)
+    c2 = np.cos(grid) ** 2
+    s2 = np.sin(grid) ** 2
+    cs = np.sin(2.0 * grid)
+    table = var_y[:, None] * c2[None, :] + var_z[:, None] * s2[None, :] - cov[:, None] * cs[None, :]
+    return np.argmin(table, axis=1)
 
 
 def fmt(value) -> str:

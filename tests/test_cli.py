@@ -263,6 +263,18 @@ def test_config_c_const_flag_override(capsys, tmp_path):
         ("sweep-theta", "--theta-list", "90", "--si-time"),
         # lab-frame fields: the twisting-only scenario takes no magnetic field
         ("simulate", "--scenario", "ku", "--e-vpcm", "100", "--b-gauss", "5"),
+        # a fixed analysis angle must be finite
+        ("simulate", "--scenario", "ku", "--n-policy", "fixed:inf", "--points", "3"),
+        ("simulate", "--scenario", "ku", "--n-policy", "fixed:nan", "--points", "3"),
+        ("simulate", "--scenario", "ku", "--n-policy", "fixed:1e400", "--points", "3"),
+        # c_const is exactly one sign, not a number that truncates to one
+        ("simulate", "--scenario", "ku", "--c-const", "1.5", "--points", "3"),
+        ("simulate", "--scenario", "ku", "--c-const", "inf", "--points", "3"),
+        # the field angle lies in [0, 180] degrees in every input mode
+        ("simulate", "--scenario", "general", "--theta-deg", "500", "--points", "3"),
+        ("simulate", "--scenario", "general", "--theta-deg", "-10", "--points", "3"),
+        ("sweep-theta", "--theta-list", "720", "--points", "3"),
+        ("sweep-theta", "--theta-list", "90,180.5", "--points", "3"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -318,6 +330,19 @@ def test_output_matches_golden_bytes(tmp_path, capsys, name, argv):
     assert cli.main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_c_const_is_exactly_a_sign(capsys, tmp_path):
+    base = ("simulate", "--scenario", "ku", "--points", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, *base, "--c-const", "1.0")
+    assert code == 0
+    assert json.loads(out)["params"]["c_const"] == 1
+    cfg = tmp_path / "fields.cfg"
+    cfg.write_text("delta_hz = 1.667e9\ne_vpcm = 1000\nb_gauss = 0\nc_const = 1.5\n")
+    code, out, err = run_cli(capsys, "simulate", "--scenario", "ku", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "c-const must be 1 or -1" in err
 
 
 def test_unknown_config_key_and_duplicates(capsys, tmp_path):

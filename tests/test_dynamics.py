@@ -1,12 +1,13 @@
 """Time evolution, moment extraction, and scenario runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
-from ohsqueeze import analytic
+from ohsqueeze import analytic, dynamics
 from ohsqueeze.dynamics import (
     max_heisenberg_violation,
     resolve_twist_sign,
@@ -237,6 +238,13 @@ def test_run_series_validation():
     assert underflow.kappa_t == 0.0
     with pytest.raises(ValueError, match="underflows"):
         run_series(underflow, "ku", "four_dim", times)
+    # a fixed analysis angle must be finite in every scenario
+    for scenario, fields in (("ku", params), ("lnl", _uniform_field_params())):
+        for angle in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                run_series(fields, scenario, "four_dim", times, n_policy=angle)
+    with pytest.raises(ValueError, match="finite"):
+        run_series(_uniform_field_params(), "general", "eight_dim", times, n_policy=math.inf)
 
 
 def test_twisting_off_is_flat_unit_xi():
@@ -299,3 +307,46 @@ def test_full_model_twist_rate_is_half_the_reduced_one():
     assert np.allclose(eight.var_jy_n, four.var_jy_n, atol=5e-3)
     assert np.allclose(eight.cov_jy_jz, four.cov_jy_jz, atol=5e-3)
     assert np.allclose(eight.mean_jx, four.mean_jx, atol=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# the coarse analysis-angle scan, tabulated in blocks of points
+
+
+@pytest.mark.parametrize("points", [1, 1023, 1024, 1025, 2 * 1024 + 7])
+def test_blocked_scan_matches_whole_table(points):
+    block = dynamics._SCAN_BLOCK_ROWS
+    rng = np.random.default_rng(points)
+    var_y = rng.uniform(0.0, 2.0, points)
+    var_z = rng.uniform(0.0, 2.0, points)
+    cov = rng.uniform(-1.0, 1.0, points)
+    # every grid angle ties on an isotropic point; argmin keeps the first
+    var_z[::5] = var_y[::5]
+    cov[::5] = 0.0
+    expected = reference.scan_grid_argmin(var_y, var_z, cov)
+    assert np.array_equal(dynamics._scan_grid_argmin(var_y, var_z, cov), expected)
+    # a twisting run long enough to span blocks, through the kernel
+    series = run_series(_twisting_params(), "ku", "four_dim", np.linspace(0.0, 3.0, block + 5))
+    args = (series.var_jy, series.var_jz, series.cov_jy_jz)
+    assert np.array_equal(dynamics._scan_grid_argmin(*args), reference.scan_grid_argmin(*args))
+
+
+def _scan_peak_bytes(points):
+    """Peak traced allocation of the scan policy over ``points`` points."""
+    rng = np.random.default_rng(points)
+    var_y, var_z = rng.uniform(0.0, 2.0, (2, points))
+    cov = rng.uniform(-1.0, 1.0, points)
+    tracemalloc.start()
+    try:
+        dynamics._scan_angles(var_y, var_z, cov)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_is_bounded_in_points():
+    # One block's table of float64 rotated variances over the 180-angle grid.
+    one_block = dynamics._SCAN_BLOCK_ROWS * 180 * 8
+    small = _scan_peak_bytes(1100)
+    large = _scan_peak_bytes(3100)
+    assert large - small <= one_block

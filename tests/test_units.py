@@ -32,6 +32,10 @@ def test_field_params_validation():
         FieldParams(delta_t=1.0, b_t=0.0, e_t=0.1, theta=0.0, c_const=2)
     with pytest.raises(ValueError):
         FieldParams(delta_t=math.nan, b_t=0.0, e_t=0.1, theta=0.0)
+    for theta in (-0.1, math.nextafter(math.pi, 4.0), 2.0 * math.pi):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            FieldParams(delta_t=1.0, b_t=0.0, e_t=0.1, theta=theta)
+    assert FieldParams(delta_t=1.0, b_t=0.0, e_t=0.1, theta=math.pi).theta == math.pi
     # negative detuning and negative field offsets are legitimate inputs
     p = FieldParams(delta_t=-1.0, b_t=-0.3, e_t=0.1, theta=0.2)
     assert p.kappa_t == pytest.approx(0.01, rel=1e-12)
