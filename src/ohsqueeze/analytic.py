@@ -35,7 +35,8 @@ def xi_wineland(delta_perp, mean_len):
     """
     delta_perp = np.asarray(delta_perp, dtype=float)
     mean_len = np.asarray(mean_len, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A subnormal polarization overflows the quotient to the same sentinel.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = SQRT_2J * delta_perp / np.abs(mean_len)
     out = np.where(mean_len == 0.0, np.inf, out)
     if out.ndim == 0:

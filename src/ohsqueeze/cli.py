@@ -59,8 +59,11 @@ CONFIG_KEYS = frozenset(
 )
 _CONFIG_REQUIRED = ("delta_hz", "e_vpcm", "b_gauss")
 
-#: Rows the CSV writer formats and writes at a time.
-CSV_CHUNK_ROWS = 1024
+#: Rows the table writer formats and writes at a time, in CSV and in JSON.
+TABLE_CHUNK_ROWS = 1024
+#: Where ``json.dumps(indent=2)`` puts the top-level ``rows`` key; a newline
+#: followed by exactly two spaces cannot occur inside an encoded string.
+_JSON_ROWS_KEY = '\n  "rows": '
 
 CONVENTION_NOTE = "kappa_t = -c_const * e_t**2 / delta_t; c_const=-1 gives kappa_t > 0"
 
@@ -129,43 +132,81 @@ def _csv_cells(cell, lo: int, hi: int):
 
 
 def _write_csv(handle, header: list[str], blocks: list[list]) -> None:
-    """Write the table in chunks of :data:`CSV_CHUNK_ROWS` rows."""
+    """Write the table in chunks of :data:`TABLE_CHUNK_ROWS` rows."""
     handle.write(",".join(header) + "\n")
     for block in blocks:
         n = _block_rows(block)
-        for lo in range(0, n, CSV_CHUNK_ROWS):
-            hi = min(lo + CSV_CHUNK_ROWS, n)
+        for lo in range(0, n, TABLE_CHUNK_ROWS):
+            hi = min(lo + TABLE_CHUNK_ROWS, n)
             rows = zip(*(_csv_cells(cell, lo, hi) for cell in block))
             handle.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def _json_cells(cell, n: int) -> list:
-    """JSON values of one cell; non-finite floats become their string sentinels."""
-    if not isinstance(cell, np.ndarray):
-        return [_jsonable(cell)] * n
-    values = cell.tolist()
-    if cell.dtype.kind == "f" and not np.isfinite(cell).all():
-        return [v if math.isfinite(v) else _fmt(v) for v in values]
-    return values
+def _json_float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(_fmt(value))
+
+
+def _json_cells(cell: np.ndarray, lo: int, hi: int):
+    """JSON text of rows ``lo:hi`` of one array cell, as ``json.dumps`` writes each value.
+
+    Non-finite floats become their string sentinels.
+    """
+    part = cell[lo:hi]
+    values = part.tolist()
+    if part.dtype.kind == "f":
+        return map(float.__repr__ if np.isfinite(part).all() else _json_float, values)
+    return map(json.dumps, values)
+
+
+def _json_frame(header: list[str], meta: dict) -> list[str]:
+    """The table's JSON text before and after the value of its ``rows`` key."""
+    payload = _jsonable(meta)
+    payload["columns"] = header
+    payload["rows"] = 0
+    return json.dumps(payload, indent=2, sort_keys=True).split(_JSON_ROWS_KEY + "0", 1)
+
+
+def _write_json_rows(handle, blocks: list[list]) -> None:
+    """Write the ``rows`` array in chunks of :data:`TABLE_CHUNK_ROWS` rows.
+
+    Every row of a block goes through one ``%s`` template laid out as
+    ``json.dumps(indent=2)`` lays out a row; scalar cells are encoded once.
+    """
+    sep = "["
+    for block in blocks:
+        n = _block_rows(block)
+        row = "\n    [\n      " + ",\n      ".join(["%s"] * len(block)) + "\n    ]"
+        scalars = [
+            None if isinstance(cell, np.ndarray) else json.dumps(_jsonable(cell)) for cell in block
+        ]
+        for lo in range(0, n, TABLE_CHUNK_ROWS):
+            hi = min(lo + TABLE_CHUNK_ROWS, n)
+            cells = (
+                _json_cells(cell, lo, hi) if text is None else itertools.repeat(text, hi - lo)
+                for cell, text in zip(block, scalars)
+            )
+            handle.write(sep + ",".join(map(row.__mod__, zip(*cells))))
+            sep = ","
+    handle.write("[]" if sep == "[" else "\n  ]")
 
 
 def _emit_table(args, header: list[str], blocks: list[list], meta: dict) -> None:
     """Write a table as CSV or as a JSON object with metadata.
 
     Each block is one run's rows: a list of cells in header order, each a
-    1-D numeric or string array, or a scalar repeated down the block.
+    1-D numeric or string array, or a scalar repeated down the block.  Both
+    formats are written :data:`TABLE_CHUNK_ROWS` rows at a time; the JSON
+    bytes are those of one ``json.dumps(indent=2, sort_keys=True)`` call.
     """
     if args.format == "csv":
         with _output(args.out) as handle:
             _write_csv(handle, header, blocks)
         return
-    payload = _jsonable(meta)
-    payload["columns"] = header
-    rows = payload["rows"] = []
-    for block in blocks:
-        n = _block_rows(block)
-        rows.extend(map(list, zip(*(_json_cells(cell, n) for cell in block))))
-    _write_json(args.out, payload)
+    head, tail = _json_frame(header, meta)
+    with _output(args.out) as handle:
+        handle.write(head + _JSON_ROWS_KEY)
+        _write_json_rows(handle, blocks)
+        handle.write(tail + "\n")
 
 
 def _read_config(path: str) -> dict:
@@ -221,13 +262,11 @@ def _scenario_theta(scenario: str, theta_deg, where: str) -> float:
     return math.radians(theta_deg) + 0.0
 
 
-def _resolve_run(args, scenario: str, theta_deg=None) -> FieldParams:
-    """Fields of one run from exactly one input mode, checked before any run.
+def _field_inputs(args) -> tuple[str, dict, int]:
+    """The one input mode, its lab-frame fields and the ``c_const`` in force.
 
-    ``theta_deg`` (sweep-theta) overrides the flag and the config angle.
-    Raises :class:`UsageError` for bad fields, for --si-time without
-    lab-frame inputs, and for a time scale that cannot carry the grid;
-    ``args.t_max`` must already be validated.
+    The fields are keyed as in a config file.  Reads the config file, so a
+    command calls this once however many runs it resolves.
     """
     lab_values = [args.e_vpcm, args.b_gauss, args.delta_ghz, args.mu_e, args.mu_b]
     reduced_values = [args.e_ratio, args.r, args.b_ratio]
@@ -242,7 +281,6 @@ def _resolve_run(args, scenario: str, theta_deg=None) -> FieldParams:
         raise UsageError(f"field modes are mutually exclusive, got {' and '.join(modes)}")
     mode = modes[0] if modes else "reduced"
 
-    # Lab-frame inputs, keyed as in a config file.
     fields = {}
     if mode == "config":
         fields = _read_config(args.config)
@@ -261,6 +299,18 @@ def _resolve_run(args, scenario: str, theta_deg=None) -> FieldParams:
         }
         fields = {key: value for key, value in flags.items() if value is not None}
     c_const = _parse_c_const(args.c_const if args.c_const is not None else fields.get("c_const"))
+    return mode, fields, c_const
+
+
+def _resolve_run(args, scenario: str, inputs: tuple, theta_deg=None) -> FieldParams:
+    """Fields of one run from :func:`_field_inputs`, checked before any run.
+
+    ``theta_deg`` (sweep-theta) overrides the flag and the config angle.
+    Raises :class:`UsageError` for bad fields, for --si-time without
+    lab-frame inputs, and for a time scale that cannot carry the grid;
+    ``args.t_max`` must already be validated.
+    """
+    mode, fields, c_const = inputs
     if theta_deg is None:
         theta_deg = getattr(args, "theta_deg", None)
     if theta_deg is None:
@@ -363,7 +413,7 @@ def _minima_lines(prefix: str, minima: dict) -> list[str]:
 def cmd_simulate(args) -> int:
     n_policy = _parse_n_policy(args.n_policy)
     times = _time_grid(args)
-    params = _resolve_run(args, args.scenario)
+    params = _resolve_run(args, args.scenario, _field_inputs(args))
     model_names = ("adiabatic", "full") if args.model == "both" else (args.model,)
     runs = {
         name: run_series(params, args.scenario, MODEL_MAP[name], times, n_policy)
@@ -411,12 +461,13 @@ def cmd_sweep_theta(args) -> int:
     if not theta_list:
         raise UsageError("--theta-list is empty")
     times = _time_grid(args)
-    angles = [(theta_deg, _resolve_run(args, "general", theta_deg)) for theta_deg in theta_list]
+    inputs = _field_inputs(args)
+    fields = [_resolve_run(args, "general", inputs, theta_deg) for theta_deg in theta_list]
+    runs = run_series(fields, "general", MODEL_MAP[args.model], times)
 
     blocks = []
     summaries = []
-    for theta_deg, params in angles:
-        series = run_series(params, "general", MODEL_MAP[args.model], times)
+    for theta_deg, params, series in zip(theta_list, fields, runs):
         header, cells = _run_table(series, args.si_time)
         blocks.append([theta_deg, *cells])
         summaries.append(
@@ -476,7 +527,7 @@ def cmd_optimize_r(args) -> int:
 def cmd_compare(args) -> int:
     n_policy = _parse_n_policy(args.n_policy)
     times = _time_grid(args)
-    params = _resolve_run(args, args.scenario)
+    params = _resolve_run(args, args.scenario, _field_inputs(args))
     four = run_series(params, args.scenario, "four_dim", times, n_policy)
     eight = run_series(params, args.scenario, "eight_dim", times, n_policy)
 

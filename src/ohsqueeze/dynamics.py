@@ -1,9 +1,10 @@
 """Exact state evolution and squeezing-parameter series.
 
-:func:`run_series` is the one evolution kernel: it diagonalizes the
-Hamiltonian once (Hermitian eigendecomposition), propagates the initial
-state to every time point of the grid in one batch, reduces eight-level
-states to the J = 3/2 manifold, and takes every moment as a batched trace.
+:func:`run_series` is the one evolution kernel.  It takes one field or a
+sequence of fields sharing a time grid, diagonalizes their Hamiltonians in
+one stacked Hermitian eigendecomposition, propagates the initial state to
+every (field, time) point at once, reduces eight-level states to the
+J = 3/2 manifold, and takes every moment as a batched trace.
 A series carries the full moment record, the rotated-quadrature record at
 the per-point analysis angle, and both squeezing-parameter normalizations
 (about the x polarization for twisting runs, about z for uniform-field
@@ -13,6 +14,7 @@ runs).  The twisting-sign resolver and every CLI table are built on it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +52,20 @@ SCAN_ANGLE_TOL = 1e-6
 _SCAN_GRID = np.arange(180) * SCAN_GRID_STEP
 #: Points the coarse scan tabulates at a time, so its memory is bounded.
 _SCAN_BLOCK_ROWS = 1024
+#: Points, fields x times, the kernel evaluates at a time (never less than
+#: one field), so a batch of fields costs no more memory than one long run.
+_BATCH_POINTS = 2048
 
 
 def _evolve_table(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States at every time in one shot; row ``i`` is ``psi(times[i])``."""
+    """States of each field at every time; ``[p, i]`` is ``psi_p(times[p, i])``.
+
+    ``h`` is a ``(P, d, d)`` stack of Hamiltonians and ``times`` ``(P, T)``.
+    """
     w, v = herm_eig(h)
-    amps = v.conj().T @ np.asarray(psi0, dtype=complex)
-    phases = np.exp(-1j * np.outer(times, w))
-    return (phases * amps) @ v.T
+    amps = v.conj().swapaxes(1, 2) @ np.asarray(psi0, dtype=complex)
+    phases = np.exp(-1j * (times[:, :, None] * w[:, None, :]))
+    return (phases * amps[:, None, :]) @ v.swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -165,13 +173,21 @@ def time_scale(params: FieldParams, scenario: str) -> float:
 
 
 def run_series(
-    params: FieldParams,
+    params: FieldParams | Sequence[FieldParams],
     scenario: str,
     model: str,
     times,
     n_policy="formula",
-) -> SqueezeSeries:
-    """Run one scenario over a dimensionless time grid.
+) -> SqueezeSeries | list[SqueezeSeries]:
+    """Run one scenario over a dimensionless time grid, for one field or many.
+
+    ``params`` is one :class:`FieldParams`, giving one series, or a sequence
+    of them, giving a list of series in input order; every field shares the
+    grid, scenario, model and policy.  Fields are evaluated together in
+    blocks of at most :data:`_BATCH_POINTS` points (fields x times, at least
+    one field per block): one stacked eigendecomposition and one set of
+    batched traces per block.  A field's series has the same bits whichever
+    block it lands in.
 
     ``scenario`` fixes the Hamiltonian family and the initial state
     ("ku": pure twisting from the x-stretched state; "lnl"/"general":
@@ -183,6 +199,12 @@ def run_series(
     (closed-form optimum) or "scan" (per-point numerical minimization),
     which twisting runs honor and uniform-field runs read as the unrotated
     quadratures (angle 0).  Any other string raises ``ValueError``.
+
+    For example, an eight-level field-angle map in one call::
+
+        fields = [FieldParams(1.0, 0.2, 0.25, math.radians(d), -1) for d in (30, 60, 90)]
+        for series in run_series(fields, "general", "eight_dim", np.linspace(0, 3, 51)):
+            print(series.xi_y.min())
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
@@ -203,35 +225,53 @@ def run_series(
     if not np.all(np.isfinite(times)):
         raise ValueError("time grid contains non-finite values")
 
-    scale = time_scale(params, scenario)
+    single = isinstance(params, FieldParams)
+    fields = [params] if single else list(params)
+    scales = [time_scale(p, scenario) for p in fields]
+    per_block = max(1, _BATCH_POINTS // times.size)
+    runs = []
+    for lo in range(0, len(fields), per_block):
+        hi = lo + per_block
+        runs.extend(_run_block(fields[lo:hi], scales[lo:hi], scenario, model, times, n_policy))
+    return runs[0] if single else runs
+
+
+def _run_block(fields, scales, scenario, model, times, n_policy) -> list[SqueezeSeries]:
+    """The kernel body over one block of fields: arrays are (field, time)."""
     with np.errstate(over="ignore"):
-        times_phys = times / scale
-    if not np.all(np.isfinite(times_phys)):
+        times_phys = times / np.array(scales)[:, None]
+    finite = np.isfinite(times_phys).all(axis=1)
+    if not finite.all():
+        scale = scales[int(np.argmin(finite))]
         raise ValueError(f"time grid overflows at time scale {scale!r}")
 
     kind, axis = _SCENARIO[scenario]
     psi0 = stretched_state(1.5, axis)
     if model == "four_dim":
-        h = build_named(kind, params)
+        h = np.stack([build_named(kind, p) for p in fields])
     else:
-        h = build_full(params)
+        h = np.stack([build_full(p) for p in fields])
         psi0 = embed_initial_state(psi0, "f")
+    shape = times_phys.shape
     # A four-level state is the one-block case of the doublet-block reduction.
-    blocks = _evolve_table(h, psi0, times_phys).reshape(times.size, -1, 4)
-    rho = np.einsum("tsa,tsb->tab", blocks, blocks.conj())
+    doublets = _evolve_table(h, psi0, times_phys).reshape(times_phys.size, -1, 4)
+    rho = np.einsum("tsa,tsb->tab", doublets, doublets.conj())
 
-    mx, my, mz, x2, y2, z2, sym_yz = (np.einsum("tab,ba->t", rho, op).real for op in _MOMENT_OPS)
+    mx, my, mz, x2, y2, z2, sym_yz = (
+        np.einsum("tab,ba->t", rho, op).real.reshape(shape) for op in _MOMENT_OPS
+    )
     var_x = x2 - mx**2
     var_y = y2 - my**2
     var_z = z2 - mz**2
     cov_yz = sym_yz - my * mz
 
     if n_policy == "formula":
-        n = np.asarray(analytic.optimal_axis_angle(params.kappa_t, times_phys))
+        kappa = np.array([[p.kappa_t] for p in fields])
+        n = np.asarray(analytic.optimal_axis_angle(kappa, times_phys))
     elif n_policy == "scan":
-        n = _scan_angles(var_y, var_z, cov_yz)
+        n = _scan_angles(var_y.ravel(), var_z.ravel(), cov_yz.ravel()).reshape(shape)
     else:
-        n = np.full(times.size, n_policy)
+        n = np.full(shape, n_policy)
         n_policy = f"fixed:{n_policy!r}"
 
     cn = np.cos(n)
@@ -240,32 +280,38 @@ def run_series(
     mean_z_n = cn * mz + sn * my
     var_y_n = cn**2 * y2 + sn**2 * z2 - 2.0 * cn * sn * sym_yz - mean_y_n**2
     var_z_n = cn**2 * z2 + sn**2 * y2 + 2.0 * cn * sn * sym_yz - mean_z_n**2
-
-    return SqueezeSeries(
-        scenario=scenario,
-        model=model,
-        n_policy=n_policy,
-        time_scale=float(scale),
-        times=times,
-        times_phys=times_phys,
-        n_angle=n,
-        mean_jx=mx,
-        mean_jy=my,
-        mean_jz=mz,
-        var_jx=var_x,
-        var_jy=var_y,
-        var_jz=var_z,
-        cov_jy_jz=cov_yz,
-        mean_jy_n=mean_y_n,
-        mean_jz_n=mean_z_n,
-        var_jy_n=var_y_n,
-        var_jz_n=var_z_n,
-        xi_y_n=xi_wineland(spread(var_y_n), mx),
-        xi_z_n=xi_wineland(spread(var_z_n), mx),
-        xi_x=xi_wineland(spread(var_x), mz),
-        xi_y=xi_wineland(spread(var_y), mz),
-        purity=np.einsum("tab,tba->t", rho, rho).real,
-    )
+    columns = {
+        "times_phys": times_phys,
+        "n_angle": n,
+        "mean_jx": mx,
+        "mean_jy": my,
+        "mean_jz": mz,
+        "var_jx": var_x,
+        "var_jy": var_y,
+        "var_jz": var_z,
+        "cov_jy_jz": cov_yz,
+        "mean_jy_n": mean_y_n,
+        "mean_jz_n": mean_z_n,
+        "var_jy_n": var_y_n,
+        "var_jz_n": var_z_n,
+        "xi_y_n": xi_wineland(spread(var_y_n), mx),
+        "xi_z_n": xi_wineland(spread(var_z_n), mx),
+        "xi_x": xi_wineland(spread(var_x), mz),
+        "xi_y": xi_wineland(spread(var_y), mz),
+        "purity": np.einsum("tab,tba->t", rho, rho).real.reshape(shape),
+    }
+    # Each field's series is a row view of the block's arrays.
+    return [
+        SqueezeSeries(
+            scenario=scenario,
+            model=model,
+            n_policy=n_policy,
+            time_scale=float(scale),
+            times=times,
+            **{name: column[row] for name, column in columns.items()},
+        )
+        for row, scale in enumerate(scales)
+    ]
 
 
 def max_heisenberg_violation(series: SqueezeSeries) -> float:

@@ -26,6 +26,9 @@ _PAULI_X = 2.0 * _HALF.jx
 _PAULI_Z = 2.0 * _HALF.jz
 _I2 = _HALF.identity
 _I4 = _J.identity
+#: The field-independent tensor factors of :func:`build_full`.
+_SIGMA_Z_I4 = kron(_PAULI_Z, _I4)
+_I2_JZ = kron(_I2, _J.jz)
 
 _ANGLE_TOL = 1e-12
 
@@ -73,8 +76,8 @@ def build_full(params: FieldParams) -> np.ndarray:
     """
     axis = twist_axis(params.theta)
     return (
-        -params.delta_t * kron(_PAULI_Z, _I4)
-        - params.b_t * kron(_I2, _J.jz)
+        -params.delta_t * _SIGMA_Z_I4
+        - params.b_t * _I2_JZ
         + params.e_t * kron(_PAULI_X, axis)
     )
 

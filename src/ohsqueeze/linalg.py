@@ -14,35 +14,53 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12
 
 
+def _defects(stack: np.ndarray) -> np.ndarray:
+    """Relative Frobenius asymmetry of each matrix of a ``(n, d, d)`` stack."""
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    diffs = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+    return np.divide(diffs, norms, out=np.zeros_like(norms), where=norms != 0.0)
+
+
 def hermitian_defect(a: np.ndarray) -> float:
     """Relative Frobenius asymmetry ``||a - a^H|| / ||a||`` (0 for the zero matrix)."""
     a = np.asarray(a, dtype=complex)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a - a.conj().T) / norm)
+    return float(_defects(a[None])[0])
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
-    Returns ``(w, v)`` with real eigenvalues ``w`` in ascending order and
-    orthonormal eigenvector columns ``v``, so that
-    ``a == v @ np.diag(w) @ v.conj().T`` to roundoff.
+    ``a`` is ``(d, d)`` or a ``(..., d, d)`` stack.  Returns ``(w, v)`` with
+    real eigenvalues ``w`` in ascending order and orthonormal eigenvector
+    columns ``v``, so that ``a == v @ np.diag(w) @ v.conj().T`` to roundoff,
+    matrix by matrix; a stack gives the same bits as one call per matrix.
 
-    Raises ``ValueError`` if ``a`` is not square, contains non-finite
-    entries, or is not Hermitian; the Hermiticity message reports the
-    measured relative asymmetry.
+    Raises ``ValueError`` if the matrices are not square, contain non-finite
+    entries, or are not Hermitian; the Hermiticity message reports the
+    measured relative asymmetry, and for a stack every message names the
+    index of the first bad matrix.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    defect = hermitian_defect(a)
-    if defect > HERMITIAN_RTOL:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        what = "a stack of square matrices" if a.ndim > 2 else "a square matrix"
+        raise ValueError(f"expected {what}, got shape {a.shape}")
+    stack = a.reshape((-1,) + a.shape[-2:])
+
+    def which(k: int) -> str:
+        if a.ndim == 2:
+            return "matrix"
+        index = np.unravel_index(k, a.shape[:-2])
+        return f"matrix {int(index[0]) if len(index) == 1 else tuple(map(int, index))}"
+
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"{which(int(np.argmin(finite)))} contains non-finite entries")
+    defects = _defects(stack)
+    bad = defects > HERMITIAN_RTOL
+    if bad.any():
+        k = int(np.argmax(bad))
         raise ValueError(
-            f"matrix is not Hermitian: relative asymmetry {defect:.3e} "
+            f"{which(k)} is not Hermitian: relative asymmetry {defects[k]:.3e} "
             f"exceeds {HERMITIAN_RTOL:.1e}"
         )
     w, v = np.linalg.eigh(a)

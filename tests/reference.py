@@ -7,7 +7,8 @@ its entry-by-entry tabulation, and rotated-quadrature moments taken on the
 frame-rotated state ``exp(-i n Jx) rho exp(+i n Jx)`` rather than from the
 rotated operators.  The batched kernel shares none of these steps.  The
 coarse analysis-angle scan is kept in its whole-table form, against which
-the kernel's blocked table is checked.
+the kernel's blocked table is checked, and the eight-level tensor form in
+its three-product form, against which the builder's hoisted factors are.
 
 The table text oracles at the end format one cell at a time and build the
 whole text before returning it, the plain route the CLI's chunked writer
@@ -19,10 +20,12 @@ import math
 
 import numpy as np
 
-from ohsqueeze.hamiltonians import full_matrix_tabulated
+from ohsqueeze.hamiltonians import full_matrix_tabulated, twist_axis
+from ohsqueeze.linalg import kron
 from ohsqueeze.spin import make_spin_ops
 
 OPS = make_spin_ops(1.5)
+HALF = make_spin_ops(0.5)
 
 
 def propagator(h, t):
@@ -54,6 +57,16 @@ def expect(op, state):
     if state.ndim == 1:
         return float(np.vdot(state, op @ state).real)
     return float(np.trace(op @ state).real)
+
+
+def build_full_three_kron(params):
+    """The eight-level tensor form with all three Kronecker products formed per call."""
+    axis = twist_axis(params.theta)
+    return (
+        -params.delta_t * kron(2.0 * HALF.jz, OPS.identity)
+        - params.b_t * kron(HALF.identity, OPS.jz)
+        + params.e_t * kron(2.0 * HALF.jx, axis)
+    )
 
 
 def _four_level_hamiltonian(params):

@@ -164,6 +164,12 @@ def test_xi_infinite_at_zero_polarization():
     assert math.isinf(out[1])
 
 
+def test_xi_infinite_at_subnormal_polarization_without_warning():
+    # the quotient overflows; pytest turns a numpy overflow warning into an error
+    out = analytic.xi_wineland(np.sqrt([0.75, 0.75]), np.array([1.08599809e-309, -5e-324]))
+    assert np.all(np.isposinf(out))
+
+
 def test_scalar_inputs_return_floats():
     mean, var_y, var_z = analytic.ku_moments(0.5, 0.3, 0.2)
     assert isinstance(mean, float)

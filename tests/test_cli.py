@@ -429,3 +429,46 @@ def test_jsonable_uses_string_sentinels():
     assert cli._jsonable(-math.inf) == "-inf"
     assert cli._jsonable(math.nan) == "nan"
     assert cli._jsonable({"a": [np.float64(1.5), math.inf]}) == {"a": [1.5, "inf"]}
+
+
+def test_sweep_theta_runs_the_kernel_once(capsys, monkeypatch):
+    calls = []
+    real = cli.run_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_series", counted)
+    code, out, _ = run_cli(
+        capsys, "sweep-theta", "--model", "full", "--theta-list", "0,30,90,180", "--points", "5"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert len(calls[0][0]) == 4
+    assert len(out.strip().splitlines()) == 1 + 4 * 5
+
+
+def test_sweep_theta_reads_config_once(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "fields.cfg"
+    cfg.write_text("delta_hz = 1.667e9\ne_vpcm = 1000\nb_gauss = 20\n")
+    reads = []
+    real = cli._read_config
+
+    def counted(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_read_config", counted)
+    base = ("sweep-theta", "--config", str(cfg), "--points", "3")
+    code, out, _ = run_cli(capsys, *base, "--theta-list", "0,45,90,135,180")
+    assert code == 0
+    assert reads == [str(cfg)]
+    assert len(out.strip().splitlines()) == 1 + 5 * 3
+    # every angle is still checked, the last one too
+    reads.clear()
+    code, out, err = run_cli(capsys, *base, "--theta-list", "0,45,181")
+    assert code == 2
+    assert out == ""
+    assert "theta must lie in [0, pi]" in err
+    assert reads == [str(cfg)]

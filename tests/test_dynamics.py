@@ -245,6 +245,12 @@ def test_run_series_validation():
                 run_series(fields, scenario, "four_dim", times, n_policy=angle)
     with pytest.raises(ValueError, match="finite"):
         run_series(_uniform_field_params(), "general", "eight_dim", times, n_policy=math.inf)
+    # every field of a batch is checked; an empty batch gives no series
+    with pytest.raises(ValueError, match="zero precession rate"):
+        run_series([_uniform_field_params(), static], "lnl", "four_dim", times)
+    with pytest.raises(ValueError, match="overflows"):
+        run_series([params, _twisting_params(e_t=1e-155)], "ku", "four_dim", [0.0, 1e300])
+    assert run_series([], "lnl", "four_dim", times) == []
 
 
 def test_twisting_off_is_flat_unit_xi():

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import reference
 
 from ohsqueeze.hamiltonians import (
     AdiabaticRegimeWarning,
@@ -168,3 +169,18 @@ def test_twist_axis_quadrants():
 def test_build_named_accepts_enum_values():
     p = FieldParams(delta_t=1.0, b_t=0.3, e_t=0.4, theta=0.6)
     assert np.array_equal(build_named("full", p), build_full(p))
+
+
+def test_build_full_matches_three_kron_form_bit_for_bit():
+    rng = np.random.default_rng(4096)
+    draws = [random_params(rng) for _ in range(2000)]
+    draws += [
+        FieldParams(delta_t=d, b_t=b, e_t=e, theta=theta)
+        for theta in (0.0, 0.5 * math.pi, math.pi)
+        for d in (1.0, -0.7)
+        for b in (0.4, 0.0, -0.4)
+        for e in (0.0, 0.3)
+    ]
+    assert any(p.delta_t < 0 for p in draws) and any(p.b_t < 0 for p in draws)
+    for p in draws:
+        assert build_full(p).tobytes() == reference.build_full_three_kron(p).tobytes(), p

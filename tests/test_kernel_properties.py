@@ -4,10 +4,17 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ohsqueeze.dynamics import MODELS, SqueezeSeries, max_heisenberg_violation, run_series
+from ohsqueeze import dynamics
+from ohsqueeze.dynamics import (
+    MODELS,
+    SCENARIOS,
+    SqueezeSeries,
+    max_heisenberg_violation,
+    run_series,
+)
 from ohsqueeze.hamiltonians import HamiltonianKind, build_named
 from ohsqueeze.units import FieldParams
 
@@ -31,6 +38,18 @@ def fields(draw, scenario):
         b_t = draw(st.floats(-5.0, 5.0)) * e_t**2
         theta = 0.5 * math.pi if scenario == "lnl" else draw(st.floats(0.0, math.pi))
     return FieldParams(delta_t=1.0, b_t=b_t, e_t=e_t, theta=theta, c_const=c_const)
+
+
+def assert_same_bits(ours: SqueezeSeries, theirs: SqueezeSeries, skip=()) -> None:
+    """Every field equal, arrays compared by their bytes."""
+    for field in dataclasses.fields(SqueezeSeries):
+        if field.name in skip:
+            continue
+        mine, other = getattr(ours, field.name), getattr(theirs, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.tobytes() == other.tobytes(), field.name
+        else:
+            assert mine == other, field.name
 
 
 @st.composite
@@ -64,14 +83,26 @@ def test_states_stay_physical(run, times, n_policy):
 def test_general_at_ninety_degrees_is_lnl_bit_for_bit(params, model, times):
     lnl = run_series(params, "lnl", model, times)
     general = run_series(params, "general", model, times)
-    for field in dataclasses.fields(SqueezeSeries):
-        if field.name == "scenario":
-            continue
-        ours, theirs = getattr(general, field.name), getattr(lnl, field.name)
-        if isinstance(ours, np.ndarray):
-            assert ours.tobytes() == theirs.tobytes(), field.name
-        else:
-            assert ours == theirs, field.name
+    assert_same_bits(general, lnl, skip=("scenario",))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), times=TIMES, n_policy=POLICIES)
+def test_batch_of_fields_equals_single_field_runs(monkeypatch, data, times, n_policy):
+    scenario = data.draw(st.sampled_from(SCENARIOS))
+    model = data.draw(st.sampled_from(MODELS))
+    batch = data.draw(st.lists(fields(scenario), min_size=1, max_size=12))
+    singles = [run_series(params, scenario, model, times, n_policy) for params in batch]
+    # A budget of 1 to 4 grids puts 1 to 4 fields in a block, so blocks
+    # split mid-batch.
+    budget = data.draw(st.integers(1, 4 * times.size))
+    monkeypatch.setattr(dynamics, "_BATCH_POINTS", budget)
+    batched = run_series(batch, scenario, model, times, n_policy)
+    assert isinstance(batched, list) and len(batched) == len(batch)
+    for one, many in zip(singles, batched):
+        assert_same_bits(many, one)
 
 
 @settings(max_examples=50, deadline=None)

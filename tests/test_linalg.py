@@ -71,6 +71,53 @@ def test_herm_eig_rejects_bad_input():
         herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_herm_eig_two_dimensional_messages():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        herm_eig(np.zeros((2, 3)))
+    asymmetric = r"^matrix is not Hermitian: relative asymmetry 1\.414e\+00 exceeds 1\.0e-12$"
+    with pytest.raises(ValueError, match=asymmetric):
+        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+        herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_herm_eig_stack_matches_per_matrix_eigh_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for shape in [(1,), (7,), (2, 3)]:
+        stack = np.array([random_hermitian(rng, 8) for _ in range(int(np.prod(shape)))])
+        stack = stack.reshape(*shape, 8, 8)
+        w, v = herm_eig(stack)
+        assert w.shape == (*shape, 8) and v.shape == (*shape, 8, 8)
+        for index in np.ndindex(*shape):
+            w1, v1 = np.linalg.eigh(stack[index])
+            assert w[index].tobytes() == w1.tobytes()
+            assert v[index].tobytes() == v1.tobytes()
+
+
+def test_herm_eig_stack_names_first_bad_matrix():
+    rng = np.random.default_rng(31)
+    stack = np.array([random_hermitian(rng, 4) for _ in range(6)])
+    skewed = stack.copy()
+    skewed[3, 0, 1] += 1.0
+    skewed[5, 1, 0] += 1.0
+    with pytest.raises(ValueError, match=r"^matrix 3 is not Hermitian: relative asymmetry"):
+        herm_eig(skewed)
+    broken = stack.copy()
+    broken[4, 2, 2] = np.inf
+    broken[5, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^matrix 4 contains non-finite entries$"):
+        herm_eig(broken)
+    with pytest.raises(ValueError, match=r"^matrix \(2, 0\) contains non-finite entries$"):
+        herm_eig(broken.reshape(3, 2, 4, 4))
+
+
+def test_herm_eig_rejects_non_square_stack():
+    with pytest.raises(ValueError, match=r"^expected a stack of square matrices, got shape"):
+        herm_eig(np.zeros((3, 4, 5)))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4,\)$"):
+        herm_eig(np.zeros(4))
+
+
 def test_hermitian_defect_measures_asymmetry():
     a = np.array([[1.0, 2.0], [2.0, -1.0]])
     assert hermitian_defect(a) == 0.0

@@ -64,7 +64,11 @@ def cells(draw, kind, n):
 
 @st.composite
 def tables(draw):
-    """A chunk size, and a table whose blocks hold chunk-1, chunk, chunk+1 or 2*chunk+1 rows."""
+    """A chunk size, and a table whose blocks hold chunk-1, chunk, chunk+1 or 2*chunk+1 rows.
+
+    The chunk size is small, so both the CSV and the JSON writer cross
+    chunk boundaries inside a block.
+    """
     chunk = draw(st.integers(2, 6))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
     kinds.insert(draw(st.integers(0, len(kinds))), "float")  # every block has an array
@@ -87,7 +91,7 @@ def tables(draw):
 )
 def test_emitter_matches_cell_by_cell_route(capsys, tmp_path, monkeypatch, table, fmt, out, extra):
     chunk, header, blocks = table
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(cli, "TABLE_CHUNK_ROWS", chunk)
     meta = {"command": "test", "value": extra, "nested": {"values": [extra, 1, "x"]}}
     got = emitted(capsys, tmp_path, fmt, out, header, blocks, meta)
     assert got == expected(fmt, header, blocks, meta)
@@ -95,7 +99,17 @@ def test_emitter_matches_cell_by_cell_route(capsys, tmp_path, monkeypatch, table
 
 @pytest.mark.parametrize("out", ["-", "path"])
 def test_csv_at_module_chunk_size(capsys, tmp_path, out):
-    chunk = cli.CSV_CHUNK_ROWS
+    check_at_module_chunk_size(capsys, tmp_path, "csv", out)
+
+
+@pytest.mark.parametrize("out", ["-", "path"])
+def test_json_at_module_chunk_size(capsys, tmp_path, out):
+    check_at_module_chunk_size(capsys, tmp_path, "json", out)
+
+
+def check_at_module_chunk_size(capsys, tmp_path, fmt, out):
+    """Blocks of chunk-1, chunk, chunk+1 and 2*chunk+1 rows at the real chunk size."""
+    chunk = cli.TABLE_CHUNK_ROWS
     rng = np.random.default_rng(7)
     sizes = [chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
     header = ["model", "t", "xi", "k"]
@@ -106,30 +120,39 @@ def test_csv_at_module_chunk_size(capsys, tmp_path, out):
         return [name, np.linspace(0.0, np.pi, n), xi, np.arange(n)]
 
     tables = [[block("a", n)] for n in sizes] + [[block(f"m{n}", n) for n in sizes]]
-    meta = {"command": "test"}
+    meta = {"command": "test", "rows_total": sum(map(len, tables)), "zebra": [1.5, np.inf]}
     for blocks in tables:
-        got = emitted(capsys, tmp_path, "csv", out, header, blocks, meta)
-        assert got == expected("csv", header, blocks, meta)
+        got = emitted(capsys, tmp_path, fmt, out, header, blocks, meta)
+        assert got == expected(fmt, header, blocks, meta)
 
 
-def _csv_peak_bytes(rows: int) -> int:
-    """Peak traced allocation while the CSV writer writes a table of ``rows`` rows."""
+def _peak_bytes(fmt: str, rows: int) -> int:
+    """Peak traced allocation while the emitter writes a table of ``rows`` rows."""
     rng = np.random.default_rng(rows)
     header = ["model", "xi_y"]
     blocks = [["adiabatic", rng.random(rows)]]
-    with open(os.devnull, "w") as sink:
-        tracemalloc.start()
-        try:
-            cli._write_csv(sink, header, blocks)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    args = argparse.Namespace(format=fmt, out=os.devnull)
+    tracemalloc.start()
+    try:
+        cli._emit_table(args, header, blocks, {"command": "test"})
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_csv_writer_memory_is_bounded_in_rows():
     # One chunk's strings: a float column of 17-digit str objects (about
     # 70 B each) and the row strings they are joined into.
-    one_chunk = cli.CSV_CHUNK_ROWS * 2 * 70
-    small = _csv_peak_bytes(6000)
-    large = _csv_peak_bytes(60000)
+    one_chunk = cli.TABLE_CHUNK_ROWS * 2 * 70
+    small = _peak_bytes("csv", 6000)
+    large = _peak_bytes("csv", 60000)
+    assert large - small <= one_chunk
+
+
+def test_json_writer_memory_is_bounded_in_rows():
+    # One chunk's strings: the float texts, the indented row texts (about
+    # 110 B each) and the chunk's joined text.
+    one_chunk = cli.TABLE_CHUNK_ROWS * 3 * 70
+    small = _peak_bytes("json", 6000)
+    large = _peak_bytes("json", 60000)
     assert large - small <= one_chunk
