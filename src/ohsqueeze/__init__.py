@@ -14,13 +14,11 @@ from .units import FieldParams, LabParams, adiabaticity_ratio, to_reduced
 from .spin import SpinOps, embed_initial_state, make_spin_ops, stretched_state
 from .hamiltonians import (
     AdiabaticRegimeWarning,
-    EquivalenceReport,
     HamiltonianKind,
     build_adiabatic,
     build_full,
     build_named,
     full_matrix_tabulated,
-    verify_equivalence,
 )
 from .dynamics import (
     SqueezeSeries,
@@ -29,13 +27,12 @@ from .dynamics import (
     run_series,
     xi_wineland,
 )
-from . import analytic, linalg, optimize
+from . import analytic, linalg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdiabaticRegimeWarning",
-    "EquivalenceReport",
     "FieldParams",
     "HamiltonianKind",
     "LabParams",
@@ -51,11 +48,9 @@ __all__ = [
     "linalg",
     "make_spin_ops",
     "max_heisenberg_violation",
-    "optimize",
     "resolve_twist_sign",
     "run_series",
     "stretched_state",
     "to_reduced",
-    "verify_equivalence",
     "xi_wineland",
 ]

@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .optimize import scan_then_golden
-
 #: sqrt(2J) for J = 3/2; a coherent state has squeezing parameter exactly 1.
 SQRT_2J = math.sqrt(3.0)
 
@@ -150,7 +148,7 @@ def xi_y_at_ts(r):
 
     ``2 sqrt((r^2 - r + 1)(r^2 - 2r + 2)) / (2 r^2 - 2 r + 1)``, derived for
     positive twisting strength.  Equals ``2 sqrt(2)`` at r = 0, 2 at r = 1,
-    and tends to 1 from above as r grows.
+    and tends to 1 from below as r grows.
     """
     r = np.asarray(r, dtype=float)
     num = 2.0 * np.sqrt((r * r - r + 1.0) * (r * r - 2.0 * r + 2.0))
@@ -161,10 +159,18 @@ def xi_y_at_ts(r):
     return out
 
 
-def optimize_r(r_max: float = 100.0, tol: float = 1e-8) -> tuple[float, float]:
-    """Minimize :func:`xi_y_at_ts` over ``[0, r_max]``.
+def optimize_r(r_max: float = 100.0) -> tuple[float, float]:
+    """Minimize :func:`xi_y_at_ts` over ``[0, r_max]`` exactly.
 
-    A 1001-point bracketing scan locates the global basin; golden-section
-    refinement to ``tol`` in r finishes the job.  Returns ``(r_opt, xi_min)``.
+    ``d(xi_y_at_ts^2)/dr`` is ``4 (2r^4 - 10r^3 + 15r^2 - 14r + 4)`` over
+    the positive ``(2r^2 - 2r + 1)^3``, so the stationary points are the
+    quartic's two real roots: r = 0.43447... (a maximum) and
+    r = 3.32211528534012... (the minimum).  Returns ``(r_opt, xi_min)``, the
+    least value over the interval ends and the roots inside the interval.
     """
-    return scan_then_golden(lambda r: xi_y_at_ts(r), 0.0, r_max, 1001, tol=tol)
+    roots = np.roots([2.0, -10.0, 15.0, -14.0, 4.0])
+    r = roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real <= r_max)]
+    candidates = np.concatenate([[0.0, r_max], r])
+    xi = xi_y_at_ts(candidates)
+    k = int(np.argmin(xi))
+    return float(candidates[k]), float(xi[k])

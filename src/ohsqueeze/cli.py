@@ -498,9 +498,10 @@ def cmd_optimize_r(args) -> int:
         raise UsageError("--grid-points must be at least 3")
     if not (math.isfinite(args.r_max) and args.r_max > 0.0):
         raise UsageError("--r-max must be finite and positive")
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise UsageError("--tol must be finite and positive")
-    r_opt, xi_min = analytic.optimize_r(r_max=args.r_max, tol=args.tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(analytic.xi_y_at_ts(args.r_max)):
+            raise UsageError(f"--r-max {args.r_max!r} overflows xi_y_at_ts")
+    r_opt, xi_min = analytic.optimize_r(r_max=args.r_max)
     xi_ref = analytic.xi_y_at_ts(DEFAULT_R)
     report = {
         "command": "optimize-r",
@@ -634,7 +635,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("optimize-r", help="optimize the uniform-field strength ratio")
     sp.add_argument("--r-max", type=float, default=100.0, help="search upper bound (default 100)")
-    sp.add_argument("--tol", type=float, default=1e-8, help="refinement tolerance (default 1e-8)")
     sp.add_argument(
         "--grid-points", type=int, default=1001, help="CSV curve resolution (default 1001)"
     )

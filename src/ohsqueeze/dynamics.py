@@ -14,7 +14,7 @@ runs).  The twisting-sign resolver and every CLI table are built on it.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,6 @@ from . import analytic
 from .analytic import spread, xi_wineland
 from .hamiltonians import HamiltonianKind, build_full, build_named
 from .linalg import herm_eig
-from .optimize import golden_section
 from .spin import embed_initial_state, make_spin_ops, stretched_state
 from .units import FieldParams
 
@@ -52,6 +51,9 @@ SCAN_ANGLE_TOL = 1e-6
 _SCAN_GRID = np.arange(180) * SCAN_GRID_STEP
 #: Points the coarse scan tabulates at a time, so its memory is bounded.
 _SCAN_BLOCK_ROWS = 1024
+#: Shrink steps after which :func:`golden_section` stops whatever the bracket.
+_GOLDEN_MAX_ITER = 200
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Points, fields x times, the kernel evaluates at a time (never less than
 #: one field), so a batch of fields costs no more memory than one long run.
 _BATCH_POINTS = 2048
@@ -129,6 +131,35 @@ def _scan_grid_argmin(var_y: np.ndarray, var_z: np.ndarray, cov: np.ndarray) -> 
     return best
 
 
+def golden_section(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = SCAN_ANGLE_TOL
+) -> tuple[float, float]:
+    """Minimize a unimodal function on [lo, hi].
+
+    Returns ``(x, f(x))`` at the bracket midpoint once the bracket width
+    falls below ``tol`` (or after :data:`_GOLDEN_MAX_ITER` shrink steps).
+    """
+    if not hi > lo:
+        raise ValueError(f"need hi > lo, got [{lo!r}, {hi!r}]")
+    a, b = float(lo), float(hi)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_MAX_ITER):
+        if b - a <= tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def _scan_angles(var_y: np.ndarray, var_z: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Per-point analysis angle minimizing the rotated y variance.
 
@@ -143,12 +174,7 @@ def _scan_angles(var_y: np.ndarray, var_z: np.ndarray, cov: np.ndarray) -> np.nd
             return c * c * vy + s * s * vz - math.sin(2.0 * n) * cyz
 
         center = _SCAN_GRID[k]
-        n_ref, _ = golden_section(
-            rotated_var,
-            center - SCAN_GRID_STEP,
-            center + SCAN_GRID_STEP,
-            tol=SCAN_ANGLE_TOL,
-        )
+        n_ref, _ = golden_section(rotated_var, center - SCAN_GRID_STEP, center + SCAN_GRID_STEP)
         out[i] = n_ref if rotated_var(n_ref) <= rotated_var(center) else center
     return out
 

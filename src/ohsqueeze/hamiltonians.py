@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +33,8 @@ _ANGLE_TOL = 1e-12
 
 
 class HamiltonianKind(enum.Enum):
-    """Named Hamiltonians of the model family."""
+    """Named four-level Hamiltonians of the model family."""
 
-    FULL = "full"
-    ADIABATIC = "adiabatic"
     KITAGAWA_UEDA = "kitagawa_ueda"
     LAW_NG_LEUNG = "law_ng_leung"
     GENERAL_THETA = "general_theta"
@@ -134,33 +131,6 @@ def full_matrix_tabulated(params: FieldParams) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of the tensor-vs-tabulated cross-check."""
-
-    max_abs_diff: float
-    matrix_scale: float
-    tol: float
-    passed: bool
-
-
-def verify_equivalence(params: FieldParams, rtol: float = 1e-12) -> EquivalenceReport:
-    """Compare :func:`build_full` against :func:`full_matrix_tabulated`.
-
-    Passes when the largest entrywise difference is at most ``rtol`` times
-    the largest entry magnitude.  Failure detail rides in the report; no
-    exception is raised.
-    """
-    tensor = build_full(params)
-    tabulated = full_matrix_tabulated(params)
-    diff = float(np.max(np.abs(tensor - tabulated)))
-    scale = float(np.max(np.abs(tensor)))
-    tol = rtol * scale
-    return EquivalenceReport(
-        max_abs_diff=diff, matrix_scale=scale, tol=tol, passed=diff <= tol
-    )
-
-
 def _reduced(params: FieldParams, theta: float) -> np.ndarray:
     """``-b_t Jz + kappa_t * axis**2`` with the Stark axis at ``theta``."""
     axis = twist_axis(theta)
@@ -187,7 +157,7 @@ def build_adiabatic(params: FieldParams) -> np.ndarray:
 
 
 def build_named(kind: HamiltonianKind, params: FieldParams) -> np.ndarray:
-    """Build one of the named model Hamiltonians from reduced parameters.
+    """Build one of the named four-level Hamiltonians from reduced parameters.
 
     The twisting kinds are the adiabatic reduction without the regime
     warning, and enforce their defining constraints: the pure-twisting form
@@ -195,10 +165,6 @@ def build_named(kind: HamiltonianKind, params: FieldParams) -> np.ndarray:
     ``theta = pi/2``.  Both are built at the exact quadrant angle.
     """
     kind = HamiltonianKind(kind)
-    if kind is HamiltonianKind.FULL:
-        return build_full(params)
-    if kind is HamiltonianKind.ADIABATIC:
-        return build_adiabatic(params)
     if kind is HamiltonianKind.KITAGAWA_UEDA:
         if params.b_t != 0.0:
             raise ValueError("pure twisting requires b_t = 0")

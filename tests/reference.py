@@ -9,6 +9,10 @@ rotated operators.  The batched kernel shares none of these steps.  The
 coarse analysis-angle scan is kept in its whole-table form, against which
 the kernel's blocked table is checked, and the eight-level tensor form in
 its three-product form, against which the builder's hoisted factors are.
+:func:`verify_equivalence` compares that tensor form with the hand
+tabulation, and :func:`scan_then_golden` is the brute-force minimizer
+(a coarse grid, then golden-section refinement) that closed-form optima
+are checked against.
 
 The table text oracles at the end format one cell at a time and build the
 whole text before returning it, the plain route the CLI's chunked writer
@@ -17,10 +21,12 @@ must reproduce byte for byte.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ohsqueeze.hamiltonians import full_matrix_tabulated, twist_axis
+from ohsqueeze.dynamics import golden_section
+from ohsqueeze.hamiltonians import build_full, full_matrix_tabulated, twist_axis
 from ohsqueeze.linalg import kron
 from ohsqueeze.spin import make_spin_ops
 
@@ -67,6 +73,50 @@ def build_full_three_kron(params):
         - params.b_t * kron(HALF.identity, OPS.jz)
         + params.e_t * kron(2.0 * HALF.jx, axis)
     )
+
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """Outcome of the tensor-vs-tabulated cross-check."""
+
+    max_abs_diff: float
+    matrix_scale: float
+    tol: float
+    passed: bool
+
+
+def verify_equivalence(params, rtol=1e-12):
+    """Compare ``build_full`` against ``full_matrix_tabulated``.
+
+    Passes when the largest entrywise difference is at most ``rtol`` times
+    the largest entry magnitude.  Failure detail rides in the report; no
+    exception is raised.
+    """
+    tensor = build_full(params)
+    diff = float(np.max(np.abs(tensor - full_matrix_tabulated(params))))
+    scale = float(np.max(np.abs(tensor)))
+    tol = rtol * scale
+    return EquivalenceReport(max_abs_diff=diff, matrix_scale=scale, tol=tol, passed=diff <= tol)
+
+
+def scan_then_golden(f, lo, hi, num, tol=1e-8):
+    """Global coarse scan to bracket the best minimum, then golden refinement.
+
+    The scan evaluates ``f`` on ``num`` equispaced points; the refinement
+    runs on the two grid cells around the best sample.  Returns the better
+    of the refined point and the best raw sample.
+    """
+    if num < 3:
+        raise ValueError(f"need at least 3 scan points, got {num}")
+    xs = np.linspace(lo, hi, num)
+    vals = np.array([float(f(x)) for x in xs])
+    k = int(np.argmin(vals))
+    a = float(xs[max(k - 1, 0)])
+    b = float(xs[min(k + 1, num - 1)])
+    x, fx = golden_section(f, a, b, tol=tol)
+    if vals[k] < fx:
+        return float(xs[k]), float(vals[k])
+    return float(x), float(fx)
 
 
 def _four_level_hamiltonian(params):

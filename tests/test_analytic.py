@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference import scan_then_golden
 
 from ohsqueeze import analytic
-from ohsqueeze.optimize import golden_section, scan_then_golden
+from ohsqueeze.dynamics import golden_section
 
 # Frozen by the first oracle run: global minimum of the twisting squeezing
 # parameter at the closed-form analysis angle, and the optimal field ratio
@@ -155,6 +158,22 @@ def test_optimize_r_frozen_values():
     # the 0.8 figure sometimes associated with this optimum is not what the
     # formula yields; the derived minimum is pinned instead
     assert abs(xi_min - 0.8) > 0.05
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1e3))
+@example(0.1)
+@example(0.4344)
+@example(3.3)
+@example(3.3221)
+@example(3.33)
+@example(100.0)
+def test_optimize_r_never_worse_than_brute_force(r_max):
+    r_opt, xi_min = analytic.optimize_r(r_max)
+    assert 0.0 <= r_opt <= r_max
+    assert xi_min == analytic.xi_y_at_ts(r_opt)
+    _, brute = scan_then_golden(analytic.xi_y_at_ts, 0.0, r_max, 1001, tol=1e-8)
+    assert xi_min <= brute + 1e-15
 
 
 def test_xi_infinite_at_zero_polarization():

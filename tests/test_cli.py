@@ -251,9 +251,9 @@ def test_config_c_const_flag_override(capsys, tmp_path):
         ("simulate", "--scenario", "ku", "--t-max", "inf"),
         ("simulate", "--scenario", "ku", "--t-max", "nan"),
         ("optimize-r", "--r-max", "inf"),
-        ("optimize-r", "--tol", "nan"),
-        ("optimize-r", "--tol", "-1"),
-        ("optimize-r", "--tol", "0"),
+        # a finite --r-max at which xi_y_at_ts overflows to nan
+        ("optimize-r", "--r-max", "1e200"),
+        ("optimize-r", "--r-max", "1e200", "--format", "csv", "--grid-points", "3"),
         # finite fields whose time scale breaks the grid
         ("simulate", "--scenario", "ku", "--e-ratio", "1e-155", "--points", "3"),
         ("simulate", "--scenario", "lnl", "--e-ratio", "0"),
@@ -380,6 +380,11 @@ def test_argparse_rejects_unknown_scenario(capsys):
         # compare always runs both models and takes no --model
         ("compare", "--scenario", "ku", "--model", "adiabatic"),
         ("compare", "--scenario", "ku", "--model", "both"),
+        # optimize-r is exact and has no refinement tolerance
+        ("optimize-r", "--tol", "nan"),
+        ("optimize-r", "--tol", "-1"),
+        ("optimize-r", "--tol", "0"),
+        ("optimize-r", "--tol", "1e-8"),
     ],
 )
 def test_argparse_rejects_removed_options(capsys, argv):

@@ -15,7 +15,6 @@ from ohsqueeze.hamiltonians import (
     build_named,
     full_matrix_tabulated,
     twist_axis,
-    verify_equivalence,
 )
 from ohsqueeze.linalg import herm_eig, kron
 from ohsqueeze.spin import make_spin_ops
@@ -45,13 +44,13 @@ def test_build_full_shape_and_hermitian():
 def test_tensor_matches_tabulated_on_random_draws():
     rng = np.random.default_rng(2024)
     for _ in range(100):
-        report = verify_equivalence(random_params(rng))
+        report = reference.verify_equivalence(random_params(rng))
         assert report.passed, report
         assert report.max_abs_diff <= 1e-12 * report.matrix_scale
 
 
 def test_equivalence_report_fields():
-    report = verify_equivalence(FieldParams(delta_t=1.0, b_t=0.2, e_t=0.4, theta=0.9))
+    report = reference.verify_equivalence(FieldParams(delta_t=1.0, b_t=0.2, e_t=0.4, theta=0.9))
     assert report.matrix_scale > 0.0
     assert report.tol == pytest.approx(1e-12 * report.matrix_scale)
     assert report.passed
@@ -168,7 +167,10 @@ def test_twist_axis_quadrants():
 
 def test_build_named_accepts_enum_values():
     p = FieldParams(delta_t=1.0, b_t=0.3, e_t=0.4, theta=0.6)
-    assert np.array_equal(build_named("full", p), build_full(p))
+    by_value = build_named("general_theta", p)
+    assert np.array_equal(by_value, build_named(HamiltonianKind.GENERAL_THETA, p))
+    with pytest.raises(ValueError):
+        build_named("full", p)
 
 
 def test_build_full_matches_three_kron_form_bit_for_bit():

@@ -1,11 +1,12 @@
-"""Scalar minimization helpers."""
+"""Scalar minimizers: the analysis-angle golden section and the brute-force scan oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from reference import scan_then_golden
 
-from ohsqueeze.optimize import golden_section, scan_then_golden
+from ohsqueeze.dynamics import golden_section
 
 
 def test_golden_section_quadratic():
