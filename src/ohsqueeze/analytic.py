@@ -167,7 +167,15 @@ def optimize_r(r_max: float = 100.0) -> tuple[float, float]:
     quartic's two real roots: r = 0.43447... (a maximum) and
     r = 3.32211528534012... (the minimum).  Returns ``(r_opt, xi_min)``, the
     least value over the interval ends and the roots inside the interval.
+
+    Raises ``ValueError`` unless ``r_max`` is finite and positive and
+    :func:`xi_y_at_ts` is finite there (it overflows above about 1e77).
     """
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise ValueError(f"r_max must be finite and positive, got {r_max!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(xi_y_at_ts(r_max)):
+            raise ValueError(f"xi_y_at_ts overflows at r_max = {r_max!r}")
     roots = np.roots([2.0, -10.0, 15.0, -14.0, 4.0])
     r = roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real <= r_max)]
     candidates = np.concatenate([[0.0, r_max], r])

@@ -118,28 +118,34 @@ def _block_rows(block: list) -> int:
     return next(cell.size for cell in block if isinstance(cell, np.ndarray))
 
 
-def _csv_cells(cell, lo: int, hi: int):
-    """Text of rows ``lo:hi`` of one cell, formatted as :func:`_fmt` would.
+def _csv_spec(cell) -> str:
+    """One cell's field in the CSV row template.
 
-    Lazy, so each cell's text lives only until its row is joined.
+    Float arrays are formatted ``%.17g``, other arrays ``%s`` of their
+    :func:`_fmt` text, and a scalar is its literal text with ``%`` escaped.
     """
     if not isinstance(cell, np.ndarray):
-        return itertools.repeat(_fmt(cell), hi - lo)
-    values = cell[lo:hi].tolist()
-    if cell.dtype.kind == "f":
-        return map("%.17g".__mod__, values)
-    return map(_fmt, values)
+        return _fmt(cell).replace("%", "%%")
+    return "%.17g" if cell.dtype.kind == "f" else "%s"
 
 
 def _write_csv(handle, header: list[str], blocks: list[list]) -> None:
-    """Write the table in chunks of :data:`TABLE_CHUNK_ROWS` rows."""
+    """Write the table in chunks of :data:`TABLE_CHUNK_ROWS` rows.
+
+    Every row of a block goes through one ``%`` template.
+    """
     handle.write(",".join(header) + "\n")
     for block in blocks:
         n = _block_rows(block)
+        row = ",".join(map(_csv_spec, block))
+        arrays = [cell for cell in block if isinstance(cell, np.ndarray)]
         for lo in range(0, n, TABLE_CHUNK_ROWS):
             hi = min(lo + TABLE_CHUNK_ROWS, n)
-            rows = zip(*(_csv_cells(cell, lo, hi) for cell in block))
-            handle.write("\n".join(map(",".join, rows)) + "\n")
+            cells = (
+                cell[lo:hi].tolist() if cell.dtype.kind == "f" else map(_fmt, cell[lo:hi].tolist())
+                for cell in arrays
+            )
+            handle.write("\n".join(map(row.__mod__, zip(*cells))) + "\n")
 
 
 def _json_float(value: float) -> str:
@@ -496,12 +502,10 @@ def cmd_sweep_theta(args) -> int:
 def cmd_optimize_r(args) -> int:
     if args.grid_points < 3:
         raise UsageError("--grid-points must be at least 3")
-    if not (math.isfinite(args.r_max) and args.r_max > 0.0):
-        raise UsageError("--r-max must be finite and positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not math.isfinite(analytic.xi_y_at_ts(args.r_max)):
-            raise UsageError(f"--r-max {args.r_max!r} overflows xi_y_at_ts")
-    r_opt, xi_min = analytic.optimize_r(r_max=args.r_max)
+    try:
+        r_opt, xi_min = analytic.optimize_r(r_max=args.r_max)
+    except ValueError as exc:
+        raise UsageError(f"--r-max: {exc}") from exc
     xi_ref = analytic.xi_y_at_ts(DEFAULT_R)
     report = {
         "command": "optimize-r",

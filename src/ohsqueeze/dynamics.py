@@ -1,10 +1,12 @@
 """Exact state evolution and squeezing-parameter series.
 
 :func:`run_series` is the one evolution kernel.  It takes one field or a
-sequence of fields sharing a time grid, diagonalizes their Hamiltonians in
-one stacked Hermitian eigendecomposition, propagates the initial state to
-every (field, time) point at once, reduces eight-level states to the
-J = 3/2 manifold, and takes every moment as a batched trace.
+sequence of fields sharing a time grid and diagonalizes their Hamiltonians
+in one stacked Hermitian eigendecomposition per block of fields.  It then
+walks the time axis in tiles: each tile propagates the initial state to its
+(field, time) points, reduces eight-level states to the J = 3/2 density
+matrix, and takes all seven moments in one real matrix product and the
+purity as a sum of squares.
 A series carries the full moment record, the rotated-quadrature record at
 the per-point analysis angle, and both squeezing-parameter normalizations
 (about the x polarization for twisting runs, about z for uniform-field
@@ -36,12 +38,19 @@ SCENARIOS = tuple(_SCENARIO)
 MODELS = ("four_dim", "eight_dim")
 
 _J = make_spin_ops(1.5)
-#: Jx, Jy, Jz, their squares and the symmetrized y-z product: every moment
-#: is one trace.  Stacking the traces sums in another order and moves bits.
+#: Jx, Jy, Jz, their squares and the symmetrized y-z product.
 _MOMENT_OPS = (
     _J.jx, _J.jy, _J.jz,
     _J.jx @ _J.jx, _J.jy @ _J.jy, _J.jz @ _J.jz,
     0.5 * (_J.jy @ _J.jz + _J.jz @ _J.jy),
+)
+#: The moment operators realified, one column each: with ``i = 4a + b``,
+#: row ``2i`` is ``Re(O^T)_i`` and row ``2i + 1`` is ``-Im(O^T)_i``, so the
+#: float64 view of a density matrix's 16 entries times this matrix is
+#: ``Re tr(rho O)`` for every operator at once.
+_MOMENT_MATRIX = np.stack(
+    [np.stack([op.T.real.ravel(), -op.T.imag.ravel()], axis=1).ravel() for op in _MOMENT_OPS],
+    axis=1,
 )
 
 #: Angular resolution of the coarse analysis-angle scan (one degree).
@@ -54,20 +63,38 @@ _SCAN_BLOCK_ROWS = 1024
 #: Shrink steps after which :func:`golden_section` stops whatever the bracket.
 _GOLDEN_MAX_ITER = 200
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: Points, fields x times, the kernel evaluates at a time (never less than
-#: one field), so a batch of fields costs no more memory than one long run.
+#: Points, fields x times, the kernel evaluates at a time: a block holds as
+#: many whole grids as fit (at least one field), and a longer grid is walked
+#: in tiles of this many times, so memory per point stays bounded.
 _BATCH_POINTS = 2048
 
 
-def _evolve_table(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _evolve_table(w: np.ndarray, v: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States of each field at every time; ``[p, i]`` is ``psi_p(times[p, i])``.
 
-    ``h`` is a ``(P, d, d)`` stack of Hamiltonians and ``times`` ``(P, T)``.
+    ``w`` and ``v`` are the ``(P, d)`` eigenvalues and ``(P, d, d)``
+    eigenvectors of the fields' Hamiltonians, ``amps`` the ``(P, d)``
+    initial state in each eigenbasis and ``times`` ``(P, L)``.
     """
-    w, v = herm_eig(h)
-    amps = v.conj().swapaxes(1, 2) @ np.asarray(psi0, dtype=complex)
     phases = np.exp(-1j * (times[:, :, None] * w[:, None, :]))
     return (phases * amps[:, None, :]) @ v.swapaxes(1, 2)
+
+
+def _tile_moments(states: np.ndarray, out: np.ndarray) -> None:
+    """Write the seven moments and the purity of a ``(P, L, d)`` state tile to ``out``.
+
+    ``out`` is ``(8, P, L)``: the :data:`_MOMENT_OPS` expectations, then the
+    purity ``tr(rho^2)``, the sum of squares of the Hermitian ``rho``'s
+    entries.  Every matrix product is one call per field, so a field's bits
+    depend on the tile length only.
+    """
+    p, length, _ = states.shape
+    # A four-level state is the one-block case of the doublet-block reduction.
+    doublets = states.reshape(p * length, -1, 4)
+    rho = np.einsum("tsa,tsb->tab", doublets, doublets.conj())
+    flat = rho.view(np.float64).reshape(p, length, 32)
+    out[:7] = np.moveaxis(flat @ _MOMENT_MATRIX, 2, 0)
+    out[7] = np.einsum("pti,pti->pt", flat, flat)
 
 
 @dataclass(frozen=True)
@@ -211,9 +238,10 @@ def run_series(
     of them, giving a list of series in input order; every field shares the
     grid, scenario, model and policy.  Fields are evaluated together in
     blocks of at most :data:`_BATCH_POINTS` points (fields x times, at least
-    one field per block): one stacked eigendecomposition and one set of
-    batched traces per block.  A field's series has the same bits whichever
-    block it lands in.
+    one field per block), with one stacked eigendecomposition per block; a
+    grid longer than :data:`_BATCH_POINTS` is walked in tiles of that many
+    times.  A field's tiles depend only on the grid's length, so its series
+    has the same bits whichever block it lands in.
 
     ``scenario`` fixes the Hamiltonian family and the initial state
     ("ku": pure twisting from the x-stretched state; "lnl"/"general":
@@ -278,14 +306,16 @@ def _run_block(fields, scales, scenario, model, times, n_policy) -> list[Squeeze
     else:
         h = np.stack([build_full(p) for p in fields])
         psi0 = embed_initial_state(psi0, "f")
+    w, v = herm_eig(h)
+    amps = v.conj().swapaxes(1, 2) @ np.asarray(psi0, dtype=complex)
     shape = times_phys.shape
-    # A four-level state is the one-block case of the doublet-block reduction.
-    doublets = _evolve_table(h, psi0, times_phys).reshape(times_phys.size, -1, 4)
-    rho = np.einsum("tsa,tsb->tab", doublets, doublets.conj())
+    tile = min(times.size, _BATCH_POINTS)
+    moments = np.empty((8, *shape))
+    for lo in range(0, times.size, tile):
+        cols = slice(lo, lo + tile)
+        _tile_moments(_evolve_table(w, v, amps, times_phys[:, cols]), moments[:, :, cols])
+    mx, my, mz, x2, y2, z2, sym_yz, purity = moments
 
-    mx, my, mz, x2, y2, z2, sym_yz = (
-        np.einsum("tab,ba->t", rho, op).real.reshape(shape) for op in _MOMENT_OPS
-    )
     var_x = x2 - mx**2
     var_y = y2 - my**2
     var_z = z2 - mz**2
@@ -324,7 +354,7 @@ def _run_block(fields, scales, scenario, model, times, n_policy) -> list[Squeeze
         "xi_z_n": xi_wineland(spread(var_z_n), mx),
         "xi_x": xi_wineland(spread(var_x), mz),
         "xi_y": xi_wineland(spread(var_y), mz),
-        "purity": np.einsum("tab,tba->t", rho, rho).real.reshape(shape),
+        "purity": purity,
     }
     # Each field's series is a row view of the block's arrays.
     return [
@@ -344,18 +374,21 @@ def max_heisenberg_violation(series: SqueezeSeries) -> float:
     """Worst uncertainty-bound violation across the run, clipped at zero.
 
     Checks the three cyclic pairings of the rotated triple
-    ``(Jx, J_{y,n}, J_{z,n})``, whose commutators close among themselves:
-    each spread product must be at least half the magnitude of the third
-    mean.  Returns the largest shortfall found (0.0 when every record
-    respects the bounds).
+    ``(Jx, J_{y,n}, J_{z,n})``, whose commutators close among themselves,
+    in variance form: each variance product must be at least a quarter of
+    the square of the third mean.  Returns the largest shortfall
+    ``max(0, <J_c>^2 / 4 - var_a var_b)``, variances clipped at zero (0.0
+    when every record respects the bounds).  The variance form takes no
+    square root, so a variance that cancels to roundoff near zero leaves a
+    shortfall at roundoff too.
     """
-    dx = spread(series.var_jx)
-    dy = spread(series.var_jy_n)
-    dz = spread(series.var_jz_n)
+    var_x = np.maximum(series.var_jx, 0.0)
+    var_y = np.maximum(series.var_jy_n, 0.0)
+    var_z = np.maximum(series.var_jz_n, 0.0)
     shortfalls = (
-        0.5 * np.abs(series.mean_jx) - dy * dz,
-        0.5 * np.abs(series.mean_jz_n) - dx * dy,
-        0.5 * np.abs(series.mean_jy_n) - dz * dx,
+        0.25 * series.mean_jx**2 - var_y * var_z,
+        0.25 * series.mean_jz_n**2 - var_x * var_y,
+        0.25 * series.mean_jy_n**2 - var_z * var_x,
     )
     return float(max(0.0, *(s.max() for s in shortfalls)))
 

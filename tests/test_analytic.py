@@ -176,6 +176,22 @@ def test_optimize_r_never_worse_than_brute_force(r_max):
     assert xi_min <= brute + 1e-15
 
 
+@pytest.mark.parametrize(
+    "r_max, message",
+    [
+        (-1.0, "finite and positive"),
+        (0.0, "finite and positive"),
+        (math.nan, "finite and positive"),
+        (math.inf, "finite and positive"),
+        # finite, but xi_y_at_ts overflows to nan there (warnings are errors)
+        (1e200, "overflows"),
+    ],
+)
+def test_optimize_r_rejects_bad_bound(r_max, message):
+    with pytest.raises(ValueError, match=message):
+        analytic.optimize_r(r_max)
+
+
 def test_xi_infinite_at_zero_polarization():
     assert math.isinf(analytic.xi_wineland(math.sqrt(0.75), 0.0))
     out = analytic.xi_wineland(np.sqrt([0.75, 0.75]), np.array([1.5, 0.0]))

@@ -275,6 +275,14 @@ def test_uncertainty_bounds_hold_everywhere():
         run_series(_uniform_field_params(), "lnl", "four_dim", times),
         run_series(_twisting_params(e_t=0.05), "ku", "eight_dim", np.linspace(0.0, 3.0, 51)),
         run_series(_uniform_field_params(e_t=0.05), "general", "eight_dim", times[:51]),
+        # a z-stretched state barely tilted: var_jz_n cancels to roundoff,
+        # whose square root would read as a 1e-8 shortfall
+        run_series(
+            FieldParams(delta_t=1.0, b_t=0.0, e_t=0.5, theta=1e-8, c_const=-1),
+            "general",
+            "four_dim",
+            [0.0, 1.0],
+        ),
     ]
     for series in runs:
         assert max_heisenberg_violation(series) <= 1e-9
@@ -356,3 +364,26 @@ def test_scan_memory_is_bounded_in_points():
     small = _scan_peak_bytes(1100)
     large = _scan_peak_bytes(3100)
     assert large - small <= one_block
+
+
+def _run_peak_bytes(model, points):
+    """Peak traced allocation of one twisting run over ``points`` times."""
+    times = np.linspace(0.0, 3.0, points)
+    tracemalloc.start()
+    try:
+        run_series(_twisting_params(), "ku", model, times)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", ["four_dim", "eight_dim"])
+def test_run_series_memory_per_point_is_bounded(model):
+    # The time axis is walked in tiles, so the per-point state table and
+    # density matrix (over 400 B per point) never exist for the whole grid.
+    # What stays is the series itself (18 float columns besides the shared
+    # grid, 144 B per point) and the moment rows and temporaries of the
+    # full-length columns.
+    small = _run_peak_bytes(model, 6000)
+    large = _run_peak_bytes(model, 60000)
+    assert large - small <= 54000 * 224

@@ -107,6 +107,15 @@ def test_json_at_module_chunk_size(capsys, tmp_path, out):
     check_at_module_chunk_size(capsys, tmp_path, "json", out)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_percent_signs_are_literal_text(capsys, tmp_path, fmt):
+    # the CSV row template must not read a scalar's or a string cell's "%"
+    header = ["tag", "t", "name", "k"]
+    blocks = [["%s%%d%", np.array([0.5, np.inf]), np.array(["%d", "x%"], dtype=object), 7]]
+    got = emitted(capsys, tmp_path, fmt, "path", header, blocks, {"command": "%"})
+    assert got == expected(fmt, header, blocks, {"command": "%"})
+
+
 def check_at_module_chunk_size(capsys, tmp_path, fmt, out):
     """Blocks of chunk-1, chunk, chunk+1 and 2*chunk+1 rows at the real chunk size."""
     chunk = cli.TABLE_CHUNK_ROWS
