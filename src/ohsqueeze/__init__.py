@@ -14,10 +14,10 @@ from .units import FieldParams, LabParams, adiabaticity_ratio, to_reduced
 from .spin import SpinOps, embed_initial_state, make_spin_ops, stretched_state
 from .hamiltonians import (
     AdiabaticRegimeWarning,
-    HamiltonianKind,
     build_adiabatic,
     build_full,
-    build_named,
+    build_reduced,
+    build_rotated_frame,
     full_matrix_tabulated,
 )
 from .dynamics import (
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdiabaticRegimeWarning",
     "FieldParams",
-    "HamiltonianKind",
     "LabParams",
     "SpinOps",
     "SqueezeSeries",
@@ -42,7 +41,8 @@ __all__ = [
     "analytic",
     "build_adiabatic",
     "build_full",
-    "build_named",
+    "build_reduced",
+    "build_rotated_frame",
     "embed_initial_state",
     "full_matrix_tabulated",
     "linalg",

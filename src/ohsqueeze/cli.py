@@ -34,7 +34,9 @@ import sys
 import numpy as np
 
 from . import __version__, analytic
-from .dynamics import SCENARIOS, SqueezeSeries, max_heisenberg_violation, run_series, time_scale
+from .dynamics import (
+    SCENARIO_RULES, SqueezeSeries, max_heisenberg_violation, run_series, time_scale,
+)
 from .units import FieldParams, LabParams, to_reduced
 
 DEFAULT_E_RATIO = 0.25
@@ -254,14 +256,14 @@ def _parse_c_const(text) -> int:
 
 def _scenario_theta(scenario: str, theta_deg, where: str) -> float:
     """Scenario-resolved tilt angle in radians."""
-    if scenario == "ku":
-        if theta_deg not in (None, 0.0):
-            raise UsageError(f"{where}: theta is fixed at 0 for the ku scenario")
-        return 0.0
-    if scenario == "lnl":
-        if theta_deg not in (None, 90.0):
-            raise UsageError(f"{where}: theta is fixed at 90 degrees for the lnl scenario")
-        return 0.5 * math.pi
+    fixed, _ = SCENARIO_RULES[scenario]
+    if fixed is not None:
+        if theta_deg not in (None, math.degrees(fixed)):
+            raise UsageError(
+                f"{where}: theta is fixed at {math.degrees(fixed):g} degrees"
+                f" for the {scenario} scenario"
+            )
+        return fixed
     if theta_deg is None:
         raise UsageError(f"{where}: the general scenario requires --theta-deg")
     # "+ 0.0" maps -0 degrees to +0.0 radians.
@@ -350,8 +352,6 @@ def _resolve_run(args, scenario: str, inputs: tuple, theta_deg=None) -> FieldPar
             params = FieldParams(delta_t=1.0, b_t=b_t, e_t=e_t, theta=theta, c_const=c_const)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if scenario == "ku" and params.b_t != 0.0:
-        raise UsageError("the ku scenario has no magnetic field; set b_gauss = 0")
     if args.si_time and mode == "reduced":
         raise UsageError("--si-time needs lab-frame inputs (lab flags or --config)")
 
@@ -362,6 +362,14 @@ def _resolve_run(args, scenario: str, inputs: tuple, theta_deg=None) -> FieldPar
     if not math.isfinite(args.t_max / scale):
         raise UsageError(f"time grid overflows: --t-max {args.t_max!r} at time scale {scale!r}")
     return params
+
+
+def _run_series(*args):
+    """:func:`run_series`, whose ``ValueError`` (e.g. a phase overflow) is a usage error."""
+    try:
+        return run_series(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_n_policy(text: str):
@@ -422,7 +430,7 @@ def cmd_simulate(args) -> int:
     params = _resolve_run(args, args.scenario, _field_inputs(args))
     model_names = ("adiabatic", "full") if args.model == "both" else (args.model,)
     runs = {
-        name: run_series(params, args.scenario, MODEL_MAP[name], times, n_policy)
+        name: _run_series(params, args.scenario, MODEL_MAP[name], times, n_policy)
         for name in model_names
     }
 
@@ -469,7 +477,7 @@ def cmd_sweep_theta(args) -> int:
     times = _time_grid(args)
     inputs = _field_inputs(args)
     fields = [_resolve_run(args, "general", inputs, theta_deg) for theta_deg in theta_list]
-    runs = run_series(fields, "general", MODEL_MAP[args.model], times)
+    runs = _run_series(fields, "general", MODEL_MAP[args.model], times)
 
     blocks = []
     summaries = []
@@ -533,8 +541,8 @@ def cmd_compare(args) -> int:
     n_policy = _parse_n_policy(args.n_policy)
     times = _time_grid(args)
     params = _resolve_run(args, args.scenario, _field_inputs(args))
-    four = run_series(params, args.scenario, "four_dim", times, n_policy)
-    eight = run_series(params, args.scenario, "eight_dim", times, n_policy)
+    four = _run_series(params, args.scenario, "four_dim", times, n_policy)
+    eight = _run_series(params, args.scenario, "eight_dim", times, n_policy)
 
     four_header, four_cells = _run_table(four, args.si_time)
     header = four_header[:1]
@@ -569,7 +577,7 @@ def cmd_compare(args) -> int:
 
 
 def _add_run_args(sp, n_policy: str) -> None:
-    sp.add_argument("--scenario", choices=SCENARIOS, required=True)
+    sp.add_argument("--scenario", choices=SCENARIO_RULES, required=True)
     sp.add_argument(
         "--n-policy",
         default=n_policy,

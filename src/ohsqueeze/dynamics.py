@@ -23,18 +23,15 @@ import numpy as np
 
 from . import analytic
 from .analytic import spread, xi_wineland
-from .hamiltonians import HamiltonianKind, build_full, build_named
+from .hamiltonians import build_full, build_reduced
 from .linalg import herm_eig
 from .spin import embed_initial_state, make_spin_ops, stretched_state
 from .units import FieldParams
 
-#: Scenario name -> (Hamiltonian family, stretched initial-state axis).
-_SCENARIO = {
-    "ku": (HamiltonianKind.KITAGAWA_UEDA, "x"),
-    "lnl": (HamiltonianKind.LAW_NG_LEUNG, "-z"),
-    "general": (HamiltonianKind.GENERAL_THETA, "-z"),
-}
-SCENARIOS = tuple(_SCENARIO)
+#: Scenario name -> (fixed field angle or None, stretched initial-state axis);
+#: "ku" also has no magnetic field.  :func:`time_scale` checks the rules.
+SCENARIO_RULES = {"ku": (0.0, "x"), "lnl": (0.5 * math.pi, "-z"), "general": (None, "-z")}
+SCENARIOS = tuple(SCENARIO_RULES)
 MODELS = ("four_dim", "eight_dim")
 
 _J = make_spin_ops(1.5)
@@ -210,11 +207,17 @@ def time_scale(params: FieldParams, scenario: str) -> float:
     """Physical rate per unit of dimensionless time for a scenario.
 
     ``|kappa_t|`` for "ku" (1 when there is no twisting, so the axis is raw
-    time) and the precession rate P otherwise.  A vanishing P, or a
-    ``kappa_t`` that underflows to zero under a nonzero ``e_t``, raises
-    ``ValueError``.
+    time) and the precession rate P otherwise.  The scenario rules hold for
+    both models: an angle more than 1e-12 off the scenario's fixed one, a
+    "ku" field with ``b_t != 0``, a vanishing P, or a ``kappa_t`` that
+    underflows to zero under a nonzero ``e_t`` raises ``ValueError``.
     """
+    fixed, _ = SCENARIO_RULES[scenario]
+    if fixed is not None and abs(params.theta - fixed) > 1e-12:
+        raise ValueError(f"the {scenario} scenario fixes theta at {fixed!r}, got {params.theta!r}")
     if scenario == "ku":
+        if params.b_t != 0.0:
+            raise ValueError(f"the ku scenario has no magnetic field: b_t is {params.b_t!r}, not 0")
         if params.kappa_t == 0.0 and params.e_t != 0.0:
             raise ValueError(f"twisting strength underflows: kappa_t is 0 at e_t = {params.e_t!r}")
         scale = abs(params.kappa_t)
@@ -243,16 +246,17 @@ def run_series(
     times.  A field's tiles depend only on the grid's length, so its series
     has the same bits whichever block it lands in.
 
-    ``scenario`` fixes the Hamiltonian family and the initial state
-    ("ku": pure twisting from the x-stretched state; "lnl"/"general":
-    field-plus-twisting from the z-stretched state).  ``model`` selects the
-    four-level reduction or the full eight-level evolution (initial state
-    embedded in the upper doublet block).  ``times`` is in units of
-    1/|kappa_t| for "ku" and 1/P otherwise.  ``n_policy`` is the analysis
-    angle: a finite fixed angle in radians in any scenario, or "formula"
-    (closed-form optimum) or "scan" (per-point numerical minimization),
-    which twisting runs honor and uniform-field runs read as the unrotated
-    quadratures (angle 0).  Any other string raises ``ValueError``.
+    ``scenario`` fixes the initial state and the field's rules, in both
+    models ("ku": theta = 0 and b_t = 0, x-stretched state; "lnl": theta =
+    pi/2, and "general": any angle, z-stretched state).  ``model`` selects
+    the four-level reduction at the field angle or the full eight-level
+    evolution (initial state embedded in the upper doublet block).
+    ``times`` is a 1-D grid in units of 1/|kappa_t| for "ku" and 1/P
+    otherwise.  ``n_policy`` is the analysis angle: a finite fixed angle in
+    radians in any scenario, or "formula" (closed-form optimum) or "scan"
+    (per-point numerical minimization), which twisting runs honor and
+    uniform-field runs read as the unrotated quadratures (angle 0).  Any
+    other string raises ``ValueError``.
 
     For example, an eight-level field-angle map in one call::
 
@@ -274,6 +278,8 @@ def run_series(
         # Uniform-field squeezing is analyzed in the unrotated x/y pair.
         n_policy = 0.0
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1:
+        raise ValueError(f"time grid must be one-dimensional, got shape {times.shape}")
     if times.size == 0:
         raise ValueError("empty time grid")
     if not np.all(np.isfinite(times)):
@@ -294,19 +300,25 @@ def _run_block(fields, scales, scenario, model, times, n_policy) -> list[Squeeze
     """The kernel body over one block of fields: arrays are (field, time)."""
     with np.errstate(over="ignore"):
         times_phys = times / np.array(scales)[:, None]
-    finite = np.isfinite(times_phys).all(axis=1)
-    if not finite.all():
-        scale = scales[int(np.argmin(finite))]
-        raise ValueError(f"time grid overflows at time scale {scale!r}")
-
-    kind, axis = _SCENARIO[scenario]
+    _, axis = SCENARIO_RULES[scenario]
     psi0 = stretched_state(1.5, axis)
     if model == "four_dim":
-        h = np.stack([build_named(kind, p) for p in fields])
+        h = np.stack([build_reduced(p) for p in fields])
     else:
         h = np.stack([build_full(p) for p in fields])
         psi0 = embed_initial_state(psi0, "f")
     w, v = herm_eig(h)
+    # Each field's largest phase: w t, and the formula angle's 2 kappa t.
+    kappa = np.array([[p.kappa_t] for p in fields])
+    rates = np.abs(w).max(axis=1)
+    if n_policy == "formula":
+        rates = np.maximum(rates, 2.0 * np.abs(kappa[:, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(rates * np.abs(times_phys).max(axis=1))
+    if not finite.all():
+        scale = scales[int(np.argmin(finite))]
+        raise ValueError(f"time grid overflows: largest phase not finite at time scale {scale!r}")
+
     amps = v.conj().swapaxes(1, 2) @ np.asarray(psi0, dtype=complex)
     shape = times_phys.shape
     tile = min(times.size, _BATCH_POINTS)
@@ -316,15 +328,10 @@ def _run_block(fields, scales, scenario, model, times, n_policy) -> list[Squeeze
         _tile_moments(_evolve_table(w, v, amps, times_phys[:, cols]), moments[:, :, cols])
     mx, my, mz, x2, y2, z2, sym_yz, purity = moments
 
-    var_x = x2 - mx**2
-    var_y = y2 - my**2
-    var_z = z2 - mz**2
-    cov_yz = sym_yz - my * mz
-
     if n_policy == "formula":
-        kappa = np.array([[p.kappa_t] for p in fields])
         n = np.asarray(analytic.optimal_axis_angle(kappa, times_phys))
     elif n_policy == "scan":
+        var_y, var_z, cov_yz = y2 - my**2, z2 - mz**2, sym_yz - my * mz
         n = _scan_angles(var_y.ravel(), var_z.ravel(), cov_yz.ravel()).reshape(shape)
     else:
         n = np.full(shape, n_policy)
@@ -336,6 +343,11 @@ def _run_block(fields, scales, scenario, model, times, n_policy) -> list[Squeeze
     mean_z_n = cn * mz + sn * my
     var_y_n = cn**2 * y2 + sn**2 * z2 - 2.0 * cn * sn * sym_yz - mean_y_n**2
     var_z_n = cn**2 * z2 + sn**2 * y2 + 2.0 * cn * sn * sym_yz - mean_z_n**2
+    # Second moments become variances in place: every moment row is a column.
+    var_x = np.subtract(x2, mx**2, out=x2)
+    var_y = np.subtract(y2, my**2, out=y2)
+    var_z = np.subtract(z2, mz**2, out=z2)
+    cov_yz = np.subtract(sym_yz, my * mz, out=sym_yz)
     columns = {
         "times_phys": times_phys,
         "n_angle": n,

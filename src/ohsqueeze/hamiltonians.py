@@ -1,15 +1,16 @@
-"""Builders for the eight-level field Hamiltonian and its four-level reductions.
+"""Builders for the eight-level field Hamiltonian and its four-level reduction.
 
 The eight-level operator couples the pseudo-spin-1/2 Lambda-doublet degree
 of freedom (slow tensor factor) to the J = 3/2 angular momentum (fast
-factor).  Adiabatic elimination of the pseudo-spin produces a family of
-four-level one-axis-twisting forms; each named reduction used in the
-analysis is available from :func:`build_named`.
+factor).  Adiabatic elimination of the pseudo-spin leaves one four-level
+form, :func:`build_reduced`, at the field angle: one-axis twisting
+(Kitagawa-Ueda) at theta = 0 with no magnetic field and twisting plus a
+transverse field (Law-Ng-Leung) at theta = pi/2.  Its rotated-frame partner
+(Agarwal-Puri) is :func:`build_rotated_frame`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 
@@ -29,26 +30,15 @@ _I4 = _J.identity
 _SIGMA_Z_I4 = kron(_PAULI_Z, _I4)
 _I2_JZ = kron(_I2, _J.jz)
 
-_ANGLE_TOL = 1e-12
-
-
-class HamiltonianKind(enum.Enum):
-    """Named four-level Hamiltonians of the model family."""
-
-    KITAGAWA_UEDA = "kitagawa_ueda"
-    LAW_NG_LEUNG = "law_ng_leung"
-    GENERAL_THETA = "general_theta"
-    AGARWAL_PURI_ROTATED = "agarwal_puri_rotated"
-
 
 class AdiabaticRegimeWarning(UserWarning):
     """A reduced Hamiltonian was built outside its validity regime."""
 
 
 def _cos_sin(theta: float) -> tuple[float, float]:
-    # Exact values at the quadrant angles keep the reduced forms exact
-    # (e.g. the general-angle builder collapses to the uniform-field one
-    # entrywise at theta = pi/2, with no 1e-17 cosine residue).
+    # Exact values at the quadrant angles keep the reduced form exact: at
+    # theta = pi/2 it is the uniform-field form entrywise, with no 1e-17
+    # cosine residue.
     if theta == 0.0:
         return 1.0, 0.0
     if theta == 0.5 * math.pi:
@@ -131,19 +121,32 @@ def full_matrix_tabulated(params: FieldParams) -> np.ndarray:
     return h
 
 
-def _reduced(params: FieldParams, theta: float) -> np.ndarray:
-    """``-b_t Jz + kappa_t * axis**2`` with the Stark axis at ``theta``."""
-    axis = twist_axis(theta)
+def build_reduced(params: FieldParams) -> np.ndarray:
+    """Four-level reduction ``-b_t Jz + kappa_t * axis**2`` at the field angle.
+
+    ``kappa_t = -c_const e_t^2/delta_t`` and ``axis = Jz cos(theta) -
+    Jx sin(theta)``.  Built without a regime check; see
+    :func:`build_adiabatic`.
+    """
+    axis = twist_axis(params.theta)
     return -params.b_t * _J.jz + params.kappa_t * (axis @ axis)
 
 
-def build_adiabatic(params: FieldParams) -> np.ndarray:
-    """Four-level reduction after adiabatic elimination of the pseudo-spin.
+def build_rotated_frame(params: FieldParams) -> np.ndarray:
+    """Frame-rotated (Agarwal-Puri) partner of :func:`build_reduced`.
 
-    ``-b_t Jz + kappa_t * axis**2`` with ``kappa_t = -c_const e_t^2/delta_t``
-    and ``axis = Jz cos(theta) - Jx sin(theta)``.  Valid when ``delta_t``
-    dominates both field rates; built anyway outside that regime, with an
-    :class:`AdiabaticRegimeWarning`.
+    The twisting is carried by ``Jz**2`` and the Zeeman term points along
+    the tilted axis: ``-b_t * axis + kappa_t Jz**2``.  Unitarily equivalent
+    to :func:`build_reduced` (same spectrum).
+    """
+    return -params.b_t * twist_axis(params.theta) + params.kappa_t * (_J.jz @ _J.jz)
+
+
+def build_adiabatic(params: FieldParams) -> np.ndarray:
+    """:func:`build_reduced`, with a warning outside its validity regime.
+
+    The reduction holds when ``delta_t`` dominates both field rates; it is
+    built anyway outside that regime, with an :class:`AdiabaticRegimeWarning`.
     """
     if not params.is_adiabatic:
         warnings.warn(
@@ -153,34 +156,4 @@ def build_adiabatic(params: FieldParams) -> np.ndarray:
             AdiabaticRegimeWarning,
             stacklevel=2,
         )
-    return _reduced(params, params.theta)
-
-
-def build_named(kind: HamiltonianKind, params: FieldParams) -> np.ndarray:
-    """Build one of the named four-level Hamiltonians from reduced parameters.
-
-    The twisting kinds are the adiabatic reduction without the regime
-    warning, and enforce their defining constraints: the pure-twisting form
-    requires ``b_t = 0`` and ``theta = 0``; the uniform-field form requires
-    ``theta = pi/2``.  Both are built at the exact quadrant angle.
-    """
-    kind = HamiltonianKind(kind)
-    if kind is HamiltonianKind.KITAGAWA_UEDA:
-        if params.b_t != 0.0:
-            raise ValueError("pure twisting requires b_t = 0")
-        if abs(params.theta) > _ANGLE_TOL:
-            raise ValueError("pure twisting requires theta = 0")
-        return _reduced(params, 0.0)
-    if kind is HamiltonianKind.LAW_NG_LEUNG:
-        if abs(params.theta - 0.5 * math.pi) > _ANGLE_TOL:
-            raise ValueError("uniform-field form requires theta = pi/2")
-        return _reduced(params, 0.5 * math.pi)
-    if kind is HamiltonianKind.GENERAL_THETA:
-        return _reduced(params, params.theta)
-    if kind is HamiltonianKind.AGARWAL_PURI_ROTATED:
-        # Frame-rotated partner of the general-angle form: the twisting is
-        # carried by Jz^2 and the Zeeman term points along the tilted axis.
-        # Unitarily equivalent to GENERAL_THETA (same spectrum).
-        axis = twist_axis(params.theta)
-        return -params.b_t * axis + params.kappa_t * (_J.jz @ _J.jz)
-    raise ValueError(f"unhandled kind {kind!r}")  # pragma: no cover
+    return build_reduced(params)

@@ -14,6 +14,13 @@ from ohsqueeze import cli
 SIMULATE_KU_MIN = 0.7616969138400342
 
 
+#: ku at e/delta = 1.5: t / |kappa_t| is finite, but t w and 2 kappa t are not.
+PHASE_OVERFLOW = (
+    "simulate", "--scenario", "ku", "--e-ratio", "1.5", "--t-max", "1e308",
+    "--points", "3", "--format", "json",
+)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -275,6 +282,9 @@ def test_config_c_const_flag_override(capsys, tmp_path):
         ("simulate", "--scenario", "general", "--theta-deg", "-10", "--points", "3"),
         ("sweep-theta", "--theta-list", "720", "--points", "3"),
         ("sweep-theta", "--theta-list", "90,180.5", "--points", "3"),
+        # a grid whose largest phase (t w, or 2 kappa t) overflows, in both models
+        (*PHASE_OVERFLOW, "--model", "adiabatic"),
+        (*PHASE_OVERFLOW, "--model", "full"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -284,17 +294,21 @@ def test_usage_errors_exit_two(capsys, argv):
 
 
 def test_time_grid_overflow_fails_without_table(capsys, tmp_path):
-    # --t-max is finite but dividing it by |kappa_t| overflows: a usage error,
-    # raised before any run, instead of nan rows
+    # --t-max is finite but dividing it by |kappa_t| overflows, or the grid's
+    # phases do: a usage error instead of nan rows
     out = tmp_path / "out.csv"
-    argv = ("simulate", "--scenario", "ku", "--t-max", "1e308", "--points", "5")
-    code, stdout, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert stdout == ""
-    assert "overflows" in err
-    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
-    assert code == 2
-    assert not out.exists()
+    for argv in (
+        ("simulate", "--scenario", "ku", "--t-max", "1e308", "--points", "5"),
+        (*PHASE_OVERFLOW, "--model", "adiabatic"),
+        (*PHASE_OVERFLOW, "--model", "full"),
+    ):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert "overflows" in err
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
 
 
 GOLDEN = Path(__file__).parent / "golden"

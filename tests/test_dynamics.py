@@ -222,11 +222,14 @@ def test_run_series_validation():
         run_series(params, "ku", "six_dim", times)
     with pytest.raises(ValueError):
         run_series(params, "ku", "four_dim", [])
+    # a grid is one axis: a second row is not silently dropped
+    with pytest.raises(ValueError, match="one-dimensional"):
+        run_series(params, "ku", "four_dim", np.ones((2, 3)))
     with pytest.raises(ValueError):
         run_series(params, "ku", "four_dim", [0.0, np.nan])
     with pytest.raises(ValueError):
         run_series(params, "ku", "four_dim", times, n_policy="sideways")
-    static = FieldParams(delta_t=1.0, b_t=0.0, e_t=0.0)
+    static = FieldParams(delta_t=1.0, b_t=0.0, e_t=0.0, theta=0.5 * math.pi)
     with pytest.raises(ValueError):
         run_series(static, "lnl", "four_dim", times)
     # an unknown policy string is rejected in every scenario, not only ku
@@ -251,6 +254,25 @@ def test_run_series_validation():
     with pytest.raises(ValueError, match="overflows"):
         run_series([params, _twisting_params(e_t=1e-155)], "ku", "four_dim", [0.0, 1e300])
     assert run_series([], "lnl", "four_dim", times) == []
+
+
+@pytest.mark.parametrize("model", ["four_dim", "eight_dim"])
+@pytest.mark.parametrize(
+    "scenario, params, match",
+    [
+        ("ku", FieldParams(delta_t=1.0, b_t=0.1, e_t=0.2, theta=0.0, c_const=-1), "b_t"),
+        ("ku", FieldParams(delta_t=1.0, b_t=0.0, e_t=0.2, theta=0.1, c_const=-1), "theta"),
+        ("lnl", FieldParams(delta_t=1.0, b_t=0.1, e_t=0.2, theta=1.5, c_const=-1), "theta"),
+    ],
+    ids=["ku-field", "ku-tilted", "lnl-off-ninety"],
+)
+def test_scenario_rules_hold_for_both_models(scenario, params, match, model):
+    with pytest.raises(ValueError, match=match):
+        run_series(params, scenario, model, [0.0, 1.0])
+    # the fixed angle's tolerance is 1e-12
+    fixed = {"ku": 0.0, "lnl": 0.5 * math.pi}[scenario]
+    near = FieldParams(delta_t=1.0, b_t=0.0, e_t=0.2, theta=fixed + 1e-13)
+    run_series(near, scenario, model, [0.0, 1.0])
 
 
 def test_twisting_off_is_flat_unit_xi():
@@ -387,3 +409,26 @@ def test_run_series_memory_per_point_is_bounded(model):
     small = _run_peak_bytes(model, 6000)
     large = _run_peak_bytes(model, 60000)
     assert large - small <= 54000 * 224
+
+
+def _run_retained_bytes(model, points):
+    """Traced memory a twisting run's series still holds after it returns."""
+    times = np.linspace(0.0, 3.0, points)
+    tracemalloc.start()
+    try:
+        series = run_series(_twisting_params(), "ku", model, times)
+        retained = tracemalloc.get_traced_memory()[0]
+        assert series.times is times
+        return retained
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", ["four_dim", "eight_dim"])
+def test_run_series_retained_memory_per_point_is_bounded(model):
+    # A series keeps its 18 float columns (144 B per point).  Every row of
+    # the block's moment array is one of them, so no moment row that no
+    # series exposes stays alive with it.
+    small = _run_retained_bytes(model, 6000)
+    large = _run_retained_bytes(model, 60000)
+    assert large - small <= 54000 * 160

@@ -1,4 +1,4 @@
-"""Hamiltonian builders: tensor vs tabulated form, named models, symmetry."""
+"""Hamiltonian builders: tensor vs tabulated form, the reduced form, symmetry."""
 
 import math
 import warnings
@@ -9,10 +9,9 @@ import reference
 
 from ohsqueeze.hamiltonians import (
     AdiabaticRegimeWarning,
-    HamiltonianKind,
     build_adiabatic,
     build_full,
-    build_named,
+    build_reduced,
     full_matrix_tabulated,
     twist_axis,
 )
@@ -110,67 +109,29 @@ def test_adiabatic_structure_at_theta_zero():
     assert np.allclose(h, np.diag(-0.4 * ms + p.kappa_t * ms**2), atol=1e-14)
 
 
-def test_named_constraint_violations():
-    tilted = FieldParams(delta_t=1.0, b_t=0.0, e_t=0.25, theta=0.3)
-    with pytest.raises(ValueError):
-        build_named(HamiltonianKind.KITAGAWA_UEDA, tilted)
-    with_field = FieldParams(delta_t=1.0, b_t=0.2, e_t=0.25, theta=0.0)
-    with pytest.raises(ValueError):
-        build_named(HamiltonianKind.KITAGAWA_UEDA, with_field)
-    not_perp = FieldParams(delta_t=1.0, b_t=0.2, e_t=0.25, theta=0.3)
-    with pytest.raises(ValueError):
-        build_named(HamiltonianKind.LAW_NG_LEUNG, not_perp)
-
-
 def test_named_twisting_forms():
     p = FieldParams(delta_t=1.0, b_t=0.0, e_t=0.25, theta=0.0, c_const=-1)
-    h = build_named(HamiltonianKind.KITAGAWA_UEDA, p)
+    h = build_reduced(p)
     assert np.array_equal(h, p.kappa_t * (_J.jz @ _J.jz))
     q = FieldParams(delta_t=1.0, b_t=0.2, e_t=0.25, theta=0.5 * math.pi, c_const=-1)
-    h_lnl = build_named(HamiltonianKind.LAW_NG_LEUNG, q)
+    h_lnl = build_reduced(q)
     assert np.array_equal(h_lnl, -0.2 * _J.jz + q.kappa_t * (_J.jx @ _J.jx))
 
 
 def test_general_theta_collapses_exactly_at_quadrants():
-    q = FieldParams(delta_t=1.0, b_t=0.2, e_t=0.25, theta=0.5 * math.pi, c_const=-1)
-    assert np.array_equal(
-        build_named(HamiltonianKind.GENERAL_THETA, q),
-        build_named(HamiltonianKind.LAW_NG_LEUNG, q),
-    )
-    p = FieldParams(delta_t=1.0, b_t=0.0, e_t=0.25, theta=0.0, c_const=-1)
-    assert np.array_equal(
-        build_named(HamiltonianKind.GENERAL_THETA, p),
-        build_named(HamiltonianKind.KITAGAWA_UEDA, p),
-    )
-
-
-def test_rotated_frame_is_isospectral_to_general():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        p = FieldParams(
-            delta_t=rng.uniform(0.5, 2.0),
-            b_t=rng.uniform(-1.0, 1.0),
-            e_t=rng.uniform(0.0, 1.0),
-            theta=rng.uniform(0.0, math.pi),
-            c_const=1 if rng.random() < 0.5 else -1,
-        )
-        w_general, _ = herm_eig(build_named(HamiltonianKind.GENERAL_THETA, p))
-        w_rotated, _ = herm_eig(build_named(HamiltonianKind.AGARWAL_PURI_ROTATED, p))
-        assert np.allclose(w_general, w_rotated, atol=1e-10)
+    # The field angles a degree input gives at the quadrants: the reduced form
+    # is the quadrant's exact form, with no cosine residue.
+    for degrees, axis_sq in ((0, _J.jz @ _J.jz), (90, _J.jx @ _J.jx), (180, _J.jz @ _J.jz)):
+        q = FieldParams(delta_t=1.0, b_t=0.2, e_t=0.25, theta=math.radians(degrees), c_const=-1)
+        assert np.array_equal(build_reduced(q), -0.2 * _J.jz + q.kappa_t * axis_sq), degrees
+    # the regime-checked builder is the same matrix
+    assert np.array_equal(build_adiabatic(q), build_reduced(q))
 
 
 def test_twist_axis_quadrants():
     assert np.array_equal(twist_axis(0.0), _J.jz)
     assert np.array_equal(twist_axis(0.5 * math.pi), -_J.jx)
     assert np.array_equal(twist_axis(math.pi), -_J.jz)
-
-
-def test_build_named_accepts_enum_values():
-    p = FieldParams(delta_t=1.0, b_t=0.3, e_t=0.4, theta=0.6)
-    by_value = build_named("general_theta", p)
-    assert np.array_equal(by_value, build_named(HamiltonianKind.GENERAL_THETA, p))
-    with pytest.raises(ValueError):
-        build_named("full", p)
 
 
 def test_build_full_matches_three_kron_form_bit_for_bit():

@@ -15,7 +15,7 @@ from ohsqueeze.dynamics import (
     max_heisenberg_violation,
     run_series,
 )
-from ohsqueeze.hamiltonians import HamiltonianKind, build_named
+from ohsqueeze.hamiltonians import build_reduced, build_rotated_frame
 from ohsqueeze.units import FieldParams
 
 POLICIES = st.one_of(st.sampled_from(["formula", "scan"]), st.floats(-math.pi, math.pi))
@@ -113,10 +113,19 @@ def test_scan_policy_never_loses_to_formula_on_random_twisting(params, model, ti
 
 
 @settings(max_examples=100, deadline=None)
-@given(params=fields("general"))
+@given(
+    params=st.builds(
+        FieldParams,
+        delta_t=st.floats(0.5, 2.0),
+        b_t=st.floats(-1.0, 1.0),
+        e_t=st.floats(0.0, 1.0),
+        theta=st.floats(0.0, math.pi),
+        c_const=st.sampled_from([1, -1]),
+    )
+)
 def test_rotated_frame_form_is_isospectral(params):
-    general = np.linalg.eigvalsh(build_named(HamiltonianKind.GENERAL_THETA, params))
-    rotated = np.linalg.eigvalsh(build_named(HamiltonianKind.AGARWAL_PURI_ROTATED, params))
+    general = np.linalg.eigvalsh(build_reduced(params))
+    rotated = np.linalg.eigvalsh(build_rotated_frame(params))
     scale = max(1.0, float(np.max(np.abs(general))))
     assert np.allclose(rotated, general, rtol=0.0, atol=1e-12 * scale)
 
