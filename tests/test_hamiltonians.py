@@ -12,6 +12,7 @@ from ohsqueeze.hamiltonians import (
     build_adiabatic,
     build_full,
     build_reduced,
+    build_rotated_frame,
     full_matrix_tabulated,
     twist_axis,
 )
@@ -126,6 +127,21 @@ def test_general_theta_collapses_exactly_at_quadrants():
         assert np.array_equal(build_reduced(q), -0.2 * _J.jz + q.kappa_t * axis_sq), degrees
     # the regime-checked builder is the same matrix
     assert np.array_equal(build_adiabatic(q), build_reduced(q))
+
+
+def test_rotated_frame_is_isospectral_to_general():
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        p = FieldParams(
+            delta_t=rng.uniform(0.5, 2.0),
+            b_t=rng.uniform(-1.0, 1.0),
+            e_t=rng.uniform(0.0, 1.0),
+            theta=rng.uniform(0.0, math.pi),
+            c_const=1 if rng.random() < 0.5 else -1,
+        )
+        w_general, _ = herm_eig(build_reduced(p))
+        w_rotated, _ = herm_eig(build_rotated_frame(p))
+        assert np.allclose(w_general, w_rotated, atol=1e-10)
 
 
 def test_twist_axis_quadrants():
