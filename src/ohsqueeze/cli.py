@@ -17,8 +17,8 @@ command and ``\\n`` line endings.  CSV prints floats with 17 significant
 digits (``inf``, ``-inf`` and ``nan`` as such) and comma separators.  JSON
 sorts keys, prints floats as Python's shortest round-trip ``repr`` (for
 example ``0.20625``) and non-finite values as the strings ``"inf"``,
-``"-inf"`` and ``"nan"``.  Exit codes: 0 success, 2 usage error,
-3 computation failure.
+``"-inf"`` and ``"nan"``.  Exit codes: 0 success, 2 for any input the
+CLI or the library rejects (a ``ValueError``), 3 for any other failure.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ import sys
 import numpy as np
 
 from . import __version__, analytic
-from .dynamics import (
-    SCENARIO_RULES, SqueezeSeries, max_heisenberg_violation, run_series, time_scale,
-)
+from .dynamics import SCENARIO_RULES, SqueezeSeries, max_heisenberg_violation, run_series
 from .units import FieldParams, LabParams, to_reduced
 
 DEFAULT_E_RATIO = 0.25
@@ -70,8 +68,8 @@ _JSON_ROWS_KEY = '\n  "rows": '
 CONVENTION_NOTE = "kappa_t = -c_const * e_t**2 / delta_t; c_const=-1 gives kappa_t > 0"
 
 
-class UsageError(Exception):
-    """Bad flags, bad combinations, or a malformed config file."""
+class UsageError(ValueError):
+    """Bad flags, bad combinations, or a malformed config file (exit 2, as any ``ValueError``)."""
 
 
 def _fmt(value) -> str:
@@ -123,12 +121,12 @@ def _block_rows(block: list) -> int:
 def _csv_spec(cell) -> str:
     """One cell's field in the CSV row template.
 
-    Float arrays are formatted ``%.17g``, other arrays ``%s`` of their
-    :func:`_fmt` text, and a scalar is its literal text with ``%`` escaped.
+    A float array is formatted ``%.17g``; a scalar is its literal text with
+    ``%`` escaped.
     """
     if not isinstance(cell, np.ndarray):
         return _fmt(cell).replace("%", "%%")
-    return "%.17g" if cell.dtype.kind == "f" else "%s"
+    return "%.17g"
 
 
 def _write_csv(handle, header: list[str], blocks: list[list]) -> None:
@@ -143,10 +141,7 @@ def _write_csv(handle, header: list[str], blocks: list[list]) -> None:
         arrays = [cell for cell in block if isinstance(cell, np.ndarray)]
         for lo in range(0, n, TABLE_CHUNK_ROWS):
             hi = min(lo + TABLE_CHUNK_ROWS, n)
-            cells = (
-                cell[lo:hi].tolist() if cell.dtype.kind == "f" else map(_fmt, cell[lo:hi].tolist())
-                for cell in arrays
-            )
+            cells = (cell[lo:hi].tolist() for cell in arrays)
             handle.write("\n".join(map(row.__mod__, zip(*cells))) + "\n")
 
 
@@ -155,15 +150,12 @@ def _json_float(value: float) -> str:
 
 
 def _json_cells(cell: np.ndarray, lo: int, hi: int):
-    """JSON text of rows ``lo:hi`` of one array cell, as ``json.dumps`` writes each value.
+    """JSON text of rows ``lo:hi`` of one float array cell, as ``json.dumps`` writes each value.
 
     Non-finite floats become their string sentinels.
     """
     part = cell[lo:hi]
-    values = part.tolist()
-    if part.dtype.kind == "f":
-        return map(float.__repr__ if np.isfinite(part).all() else _json_float, values)
-    return map(json.dumps, values)
+    return map(float.__repr__ if np.isfinite(part).all() else _json_float, part.tolist())
 
 
 def _json_frame(header: list[str], meta: dict) -> list[str]:
@@ -202,7 +194,7 @@ def _emit_table(args, header: list[str], blocks: list[list], meta: dict) -> None
     """Write a table as CSV or as a JSON object with metadata.
 
     Each block is one run's rows: a list of cells in header order, each a
-    1-D numeric or string array, or a scalar repeated down the block.  Both
+    1-D float array, or a scalar repeated down the block.  Both
     formats are written :data:`TABLE_CHUNK_ROWS` rows at a time; the JSON
     bytes are those of one ``json.dumps(indent=2, sort_keys=True)`` call.
     """
@@ -244,7 +236,7 @@ def _read_config(path: str) -> dict:
 
 def _parse_c_const(text) -> int:
     if text in (None, ""):
-        return -1
+        return analytic.MATCHED_C_CONST
     try:
         value = float(text)
     except (TypeError, ValueError) as exc:
@@ -311,12 +303,12 @@ def _field_inputs(args) -> tuple[str, dict, int]:
 
 
 def _resolve_run(args, scenario: str, inputs: tuple, theta_deg=None) -> FieldParams:
-    """Fields of one run from :func:`_field_inputs`, checked before any run.
+    """Fields of one run from :func:`_field_inputs`.
 
     ``theta_deg`` (sweep-theta) overrides the flag and the config angle.
-    Raises :class:`UsageError` for bad fields, for --si-time without
-    lab-frame inputs, and for a time scale that cannot carry the grid;
-    ``args.t_max`` must already be validated.
+    Raises ``ValueError`` for bad fields and for --si-time without
+    lab-frame inputs.  The scenario's field rules and the time scale are
+    checked by :func:`run_series`, for every field before any block runs.
     """
     mode, fields, c_const = inputs
     if theta_deg is None:
@@ -326,63 +318,48 @@ def _resolve_run(args, scenario: str, inputs: tuple, theta_deg=None) -> FieldPar
     where = f"config {args.config}" if mode == "config" else f"{mode} mode"
     theta = _scenario_theta(scenario, theta_deg, where)
 
-    try:
-        if mode != "reduced":
-            lab = LabParams(
-                lambda_doubling=fields["delta_hz"],
-                e_field=fields["e_vpcm"],
-                b_field=fields["b_gauss"],
-                theta=theta,
-                bohr_magneton=fields.get("mu_b_hz_per_gauss", DEFAULT_MU_B),
-                dipole_moment=fields.get("mu_e_hz_per_vpcm", DEFAULT_MU_E),
-            )
-            params = to_reduced(lab, c_const=c_const)
+    if mode != "reduced":
+        lab = LabParams(
+            lambda_doubling=fields["delta_hz"],
+            e_field=fields["e_vpcm"],
+            b_field=fields["b_gauss"],
+            theta=theta,
+            bohr_magneton=fields.get("mu_b_hz_per_gauss", DEFAULT_MU_B),
+            dipole_moment=fields.get("mu_e_hz_per_vpcm", DEFAULT_MU_E),
+        )
+        params = to_reduced(lab, c_const=c_const)
+    else:
+        e_t = DEFAULT_E_RATIO if args.e_ratio is None else args.e_ratio
+        if scenario == "ku":
+            if args.r is not None or args.b_ratio is not None:
+                raise UsageError("the ku scenario has no magnetic field; drop --r/--b-ratio")
+            b_t = 0.0
+        elif args.r is not None and args.b_ratio is not None:
+            raise UsageError("--r and --b-ratio are mutually exclusive")
+        elif args.b_ratio is not None:
+            b_t = args.b_ratio
         else:
-            e_t = DEFAULT_E_RATIO if args.e_ratio is None else args.e_ratio
-            if scenario == "ku":
-                if args.r is not None or args.b_ratio is not None:
-                    raise UsageError("the ku scenario has no magnetic field; drop --r/--b-ratio")
-                b_t = 0.0
-            elif args.r is not None and args.b_ratio is not None:
-                raise UsageError("--r and --b-ratio are mutually exclusive")
-            elif args.b_ratio is not None:
-                b_t = args.b_ratio
-            else:
-                b_t = (DEFAULT_R if args.r is None else args.r) * e_t**2
-            params = FieldParams(delta_t=1.0, b_t=b_t, e_t=e_t, theta=theta, c_const=c_const)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+            b_t = (DEFAULT_R if args.r is None else args.r) * e_t**2
+        params = FieldParams(delta_t=1.0, b_t=b_t, e_t=e_t, theta=theta, c_const=c_const)
     if args.si_time and mode == "reduced":
         raise UsageError("--si-time needs lab-frame inputs (lab flags or --config)")
-
-    try:
-        scale = time_scale(params, scenario)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if not math.isfinite(args.t_max / scale):
-        raise UsageError(f"time grid overflows: --t-max {args.t_max!r} at time scale {scale!r}")
     return params
 
 
-def _run_series(*args):
-    """:func:`run_series`, whose ``ValueError`` (e.g. a phase overflow) is a usage error."""
-    try:
-        return run_series(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_n_policy(text: str):
+def _parse_n_policy(text: str, scenario: str):
+    """The analysis-angle policy; only ``ku`` rows depend on a fixed angle."""
     if text in ("formula", "scan"):
         return text
     if text.startswith("fixed:"):
+        if scenario != "ku":
+            raise UsageError(
+                f"--n-policy {text}: a fixed analysis angle applies to the ku scenario only;"
+                f" {scenario} emits the unrotated xi_x, xi_y"
+            )
         try:
-            angle = float(text[len("fixed:"):])
+            return float(text[len("fixed:"):])
         except ValueError as exc:
             raise UsageError(f"bad fixed analysis angle in {text!r}") from exc
-        if not math.isfinite(angle):
-            raise UsageError(f"fixed analysis angle must be finite, got {text!r}")
-        return angle
     raise UsageError(f"--n-policy must be formula, scan, or fixed:<radians>, got {text!r}")
 
 
@@ -425,12 +402,12 @@ def _minima_lines(prefix: str, minima: dict) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    n_policy = _parse_n_policy(args.n_policy)
+    n_policy = _parse_n_policy(args.n_policy, args.scenario)
     times = _time_grid(args)
     params = _resolve_run(args, args.scenario, _field_inputs(args))
     model_names = ("adiabatic", "full") if args.model == "both" else (args.model,)
     runs = {
-        name: _run_series(params, args.scenario, MODEL_MAP[name], times, n_policy)
+        name: run_series(params, args.scenario, MODEL_MAP[name], times, n_policy)
         for name in model_names
     }
 
@@ -477,7 +454,7 @@ def cmd_sweep_theta(args) -> int:
     times = _time_grid(args)
     inputs = _field_inputs(args)
     fields = [_resolve_run(args, "general", inputs, theta_deg) for theta_deg in theta_list]
-    runs = _run_series(fields, "general", MODEL_MAP[args.model], times)
+    runs = run_series(fields, "general", MODEL_MAP[args.model], times)
 
     blocks = []
     summaries = []
@@ -510,17 +487,14 @@ def cmd_sweep_theta(args) -> int:
 def cmd_optimize_r(args) -> int:
     if args.grid_points < 3:
         raise UsageError("--grid-points must be at least 3")
-    try:
-        r_opt, xi_min = analytic.optimize_r(r_max=args.r_max)
-    except ValueError as exc:
-        raise UsageError(f"--r-max: {exc}") from exc
+    r_opt, xi_min = analytic.optimize_r(r_max=args.r_max)
     xi_ref = analytic.xi_y_at_ts(DEFAULT_R)
     report = {
         "command": "optimize-r",
         "r_opt": r_opt,
         "xi_min": xi_min,
         "xi_at_r_3p3": xi_ref,
-        "c_const": -1,
+        "c_const": analytic.MATCHED_C_CONST,
         "convention": CONVENTION_NOTE,
     }
     if args.format == "json":
@@ -533,16 +507,16 @@ def cmd_optimize_r(args) -> int:
         print(f"r_opt = {_fmt(r_opt)}")
         print(f"xi_min = {_fmt(xi_min)}")
         print(f"xi at r=3.3 = {_fmt(xi_ref)}")
-        print(f"convention: c_const=-1 ({CONVENTION_NOTE})")
+        print(f"convention: c_const={analytic.MATCHED_C_CONST} ({CONVENTION_NOTE})")
     return 0
 
 
 def cmd_compare(args) -> int:
-    n_policy = _parse_n_policy(args.n_policy)
+    n_policy = _parse_n_policy(args.n_policy, args.scenario)
     times = _time_grid(args)
     params = _resolve_run(args, args.scenario, _field_inputs(args))
-    four = _run_series(params, args.scenario, "four_dim", times, n_policy)
-    eight = _run_series(params, args.scenario, "eight_dim", times, n_policy)
+    four = run_series(params, args.scenario, "four_dim", times, n_policy)
+    eight = run_series(params, args.scenario, "eight_dim", times, n_policy)
 
     four_header, four_cells = _run_table(four, args.si_time)
     header = four_header[:1]
@@ -598,7 +572,11 @@ def _add_field_args(sp, with_theta: bool = True) -> None:
     group.add_argument("--mu-b", type=float, default=None, help="lab: magnetic coupling, Hz/Gauss")
     if with_theta:
         group.add_argument("--theta-deg", type=float, default=None, help="field angle, degrees")
-    group.add_argument("--c-const", default=None, help="doublet mixing sign, 1 or -1 (default -1)")
+    group.add_argument(
+        "--c-const",
+        default=None,
+        help=f"doublet mixing sign, 1 or -1 (default {analytic.MATCHED_C_CONST})",
+    )
 
 
 def _add_grid_args(sp) -> None:
@@ -667,10 +645,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # usage errors and every input the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # noqa: BLE001 - numeric/IO failures map to exit 3
+    except Exception as exc:  # noqa: BLE001 - any other failure maps to exit 3
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

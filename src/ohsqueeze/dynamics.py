@@ -210,8 +210,11 @@ def time_scale(params: FieldParams, scenario: str) -> float:
     time) and the precession rate P otherwise.  The scenario rules hold for
     both models: an angle more than 1e-12 off the scenario's fixed one, a
     "ku" field with ``b_t != 0``, a vanishing P, or a ``kappa_t`` that
-    underflows to zero under a nonzero ``e_t`` raises ``ValueError``.
+    underflows to zero under a nonzero ``e_t`` raises ``ValueError``, as
+    does an unknown scenario.
     """
+    if scenario not in SCENARIO_RULES:
+        raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     fixed, _ = SCENARIO_RULES[scenario]
     if fixed is not None and abs(params.theta - fixed) > 1e-12:
         raise ValueError(f"the {scenario} scenario fixes theta at {fixed!r}, got {params.theta!r}")

@@ -285,6 +285,11 @@ def test_config_c_const_flag_override(capsys, tmp_path):
         # a grid whose largest phase (t w, or 2 kappa t) overflows, in both models
         (*PHASE_OVERFLOW, "--model", "adiabatic"),
         (*PHASE_OVERFLOW, "--model", "full"),
+        # a fixed analysis angle changes only ku rows
+        ("simulate", "--scenario", "lnl", "--n-policy", "fixed:0.3", "--points", "3"),
+        ("compare", "--scenario", "general", "--theta-deg", "30", "--n-policy", "fixed:0.3"),
+        # numpy rejects a grid this long before it allocates anything
+        ("simulate", "--scenario", "ku", "--points", "10000000000000000000"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -433,14 +438,16 @@ def test_sweep_theta_negative_zero_angle_is_positive_zero(capsys):
     assert math.copysign(1.0, theta) == 1.0
 
 
-def test_internal_failure_exits_three(capsys, monkeypatch):
+@pytest.mark.parametrize("exc, exit_code", [(RuntimeError, 3), (ValueError, 2)])
+def test_internal_failure_exits_three(capsys, monkeypatch, exc, exit_code):
+    # a ValueError from the library is a rejected input; anything else is a failure
     def boom(*args, **kwargs):
-        raise RuntimeError("numerical failure")
+        raise exc("numerical failure")
 
     monkeypatch.setattr(cli, "run_series", boom)
     code, _, err = run_cli(capsys, "simulate", "--scenario", "ku")
-    assert code == 3
-    assert "numerical failure" in err
+    assert code == exit_code
+    assert "error: numerical failure" in err
 
 
 def test_jsonable_uses_string_sentinels():

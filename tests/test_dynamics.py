@@ -12,6 +12,7 @@ from ohsqueeze.dynamics import (
     max_heisenberg_violation,
     resolve_twist_sign,
     run_series,
+    time_scale,
     xi_wineland,
 )
 from ohsqueeze.spin import embed_initial_state, make_spin_ops
@@ -216,8 +217,14 @@ def test_fixed_angle_policy():
 def test_run_series_validation():
     params = _twisting_params()
     times = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        run_series(params, "bogus", "four_dim", times)
+    # an unknown scenario is one ValueError, from the kernel and from time_scale
+    for call in (
+        lambda: run_series(params, "bogus", "four_dim", times),
+        lambda: run_series([], "bogus", "four_dim", times),
+        lambda: time_scale(params, "bogus"),
+    ):
+        with pytest.raises(ValueError, match="scenario must be one of"):
+            call()
     with pytest.raises(ValueError):
         run_series(params, "ku", "six_dim", times)
     with pytest.raises(ValueError):
