@@ -10,20 +10,16 @@ four-level closed forms, squeezing-parameter series, and the optimization
 of the Zeeman-to-twisting ratio.
 """
 
-from .units import FieldParams, LabParams, adiabaticity_ratio, to_reduced
+from .units import FieldParams, LabParams, to_reduced
 from .spin import SpinOps, embed_initial_state, make_spin_ops, stretched_state
 from .hamiltonians import (
-    AdiabaticRegimeWarning,
-    build_adiabatic,
     build_full,
     build_reduced,
-    build_rotated_frame,
     full_matrix_tabulated,
 )
 from .dynamics import (
     SqueezeSeries,
     max_heisenberg_violation,
-    resolve_twist_sign,
     run_series,
     xi_wineland,
 )
@@ -32,23 +28,18 @@ from . import analytic, linalg
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdiabaticRegimeWarning",
     "FieldParams",
     "LabParams",
     "SpinOps",
     "SqueezeSeries",
-    "adiabaticity_ratio",
     "analytic",
-    "build_adiabatic",
     "build_full",
     "build_reduced",
-    "build_rotated_frame",
     "embed_initial_state",
     "full_matrix_tabulated",
     "linalg",
     "make_spin_ops",
     "max_heisenberg_violation",
-    "resolve_twist_sign",
     "run_series",
     "stretched_state",
     "to_reduced",

@@ -20,8 +20,8 @@ SQRT_2J = math.sqrt(3.0)
 #: Twisting-sign convention that matches the eight-level dynamics started
 #: from the physical initial states (they occupy the upper doublet block,
 #: whose conserved pseudo-spin projection is -1): kappa_t > 0, c_const = -1.
-#: Established empirically by :func:`ohsqueeze.dynamics.resolve_twist_sign`
-#: and pinned by the test suite.
+#: Established empirically by the twist-sign resolver in ``tests/reference.py``
+#: and pinned by ``test_resolved_twist_sign_matches_pinned_convention``.
 MATCHED_C_CONST = -1
 
 
@@ -112,7 +112,11 @@ def precession_rate(kappa: float, b_t: float) -> float:
 
 
 def extremal_time(kappa: float, b_t: float) -> float:
-    """First time of extremal transverse variance, ``pi / (4 P)``."""
+    """Quarter-phase time ``pi / (4 P)``, where ``sin^2(P t) = 1/2``.
+
+    The variances of :func:`lnl_moments` are extremal later, at ``pi / (2 P)``;
+    criterion 08, ``R_OPT`` and ``XI_MIN_AT_R_OPT`` pin this time.
+    """
     p = precession_rate(kappa, b_t)
     if p == 0.0:
         raise ValueError("zero precession rate: b_t and kappa both vanish")
@@ -144,7 +148,7 @@ def lnl_xi(kappa: float, b_t: float, t):
 
 
 def xi_y_at_ts(r):
-    """y squeezing at the extremal time as a function of ``r = b_t / kappa``.
+    """y squeezing at :func:`extremal_time` as a function of ``r = b_t / kappa``.
 
     ``2 sqrt((r^2 - r + 1)(r^2 - 2r + 2)) / (2 r^2 - 2 r + 1)``, derived for
     positive twisting strength.  Equals ``2 sqrt(2)`` at r = 0, 2 at r = 1,

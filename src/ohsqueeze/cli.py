@@ -81,15 +81,11 @@ def _fmt(value) -> str:
 
 
 def _jsonable(value):
-    """JSON-safe copy: non-finite floats become strings, arrays become lists."""
+    """JSON-safe copy: non-finite floats become strings."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):

@@ -10,7 +10,7 @@ purity as a sum of squares.
 A series carries the full moment record, the rotated-quadrature record at
 the per-point analysis angle, and both squeezing-parameter normalizations
 (about the x polarization for twisting runs, about z for uniform-field
-runs).  The twisting-sign resolver and every CLI table are built on it.
+runs).  Every CLI table is built on it.
 """
 
 from __future__ import annotations
@@ -406,40 +406,3 @@ def max_heisenberg_violation(series: SqueezeSeries) -> float:
         0.25 * series.mean_jy_n**2 - var_z * var_x,
     )
     return float(max(0.0, *(s.max() for s in shortfalls)))
-
-
-def resolve_twist_sign(e_ratio: float = 0.05, eval_phase: float = 0.3) -> int:
-    """Determine empirically which ``c_const`` matches the full dynamics.
-
-    The sign of the early-time y-z covariance of the twisting dynamics is
-    the sign of the twisting strength, and it is insensitive to the exact
-    effective rate.  The full model is run from the physical (embedded)
-    x-stretched initial state -- the eight-level Hamiltonian itself carries
-    no ``c_const`` -- and each four-level sign candidate is run beside it,
-    all at the dimensionless time ``eval_phase``; exactly one candidate
-    must reproduce the sign of the covariance.  Returns that ``c_const``
-    (-1, i.e. positive ``kappa_t``).
-    """
-
-    def cov_at_phase(model: str, c_const: int = 1) -> float:
-        p = FieldParams(delta_t=1.0, b_t=0.0, e_t=e_ratio, theta=0.0, c_const=c_const)
-        return float(run_series(p, "ku", model, [eval_phase]).cov_jy_jz[0])
-
-    cov_full = cov_at_phase("eight_dim")
-    if abs(cov_full) < 0.05:
-        raise RuntimeError(
-            f"covariance signal too weak to resolve the twisting sign: {cov_full!r}"
-        )
-
-    matches = []
-    for c_const in (1, -1):
-        cov4 = cov_at_phase("four_dim", c_const)
-        if abs(cov4) < 0.05:
-            raise RuntimeError(
-                f"covariance signal too weak for candidate c_const={c_const}: {cov4!r}"
-            )
-        if math.copysign(1.0, cov4) == math.copysign(1.0, cov_full):
-            matches.append(c_const)
-    if len(matches) != 1:
-        raise RuntimeError(f"ambiguous twisting-sign resolution: matches={matches!r}")
-    return matches[0]

@@ -5,14 +5,12 @@ of freedom (slow tensor factor) to the J = 3/2 angular momentum (fast
 factor).  Adiabatic elimination of the pseudo-spin leaves one four-level
 form, :func:`build_reduced`, at the field angle: one-axis twisting
 (Kitagawa-Ueda) at theta = 0 with no magnetic field and twisting plus a
-transverse field (Law-Ng-Leung) at theta = pi/2.  Its rotated-frame partner
-(Agarwal-Puri) is :func:`build_rotated_frame`.
+transverse field (Law-Ng-Leung) at theta = pi/2.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -29,10 +27,6 @@ _I4 = _J.identity
 #: The field-independent tensor factors of :func:`build_full`.
 _SIGMA_Z_I4 = kron(_PAULI_Z, _I4)
 _I2_JZ = kron(_I2, _J.jz)
-
-
-class AdiabaticRegimeWarning(UserWarning):
-    """A reduced Hamiltonian was built outside its validity regime."""
 
 
 def _cos_sin(theta: float) -> tuple[float, float]:
@@ -125,35 +119,8 @@ def build_reduced(params: FieldParams) -> np.ndarray:
     """Four-level reduction ``-b_t Jz + kappa_t * axis**2`` at the field angle.
 
     ``kappa_t = -c_const e_t^2/delta_t`` and ``axis = Jz cos(theta) -
-    Jx sin(theta)``.  Built without a regime check; see
-    :func:`build_adiabatic`.
+    Jx sin(theta)``.  The reduction holds when ``delta_t`` dominates both
+    field rates; it is built without a regime check.
     """
     axis = twist_axis(params.theta)
     return -params.b_t * _J.jz + params.kappa_t * (axis @ axis)
-
-
-def build_rotated_frame(params: FieldParams) -> np.ndarray:
-    """Frame-rotated (Agarwal-Puri) partner of :func:`build_reduced`.
-
-    The twisting is carried by ``Jz**2`` and the Zeeman term points along
-    the tilted axis: ``-b_t * axis + kappa_t Jz**2``.  Unitarily equivalent
-    to :func:`build_reduced` (same spectrum).
-    """
-    return -params.b_t * twist_axis(params.theta) + params.kappa_t * (_J.jz @ _J.jz)
-
-
-def build_adiabatic(params: FieldParams) -> np.ndarray:
-    """:func:`build_reduced`, with a warning outside its validity regime.
-
-    The reduction holds when ``delta_t`` dominates both field rates; it is
-    built anyway outside that regime, with an :class:`AdiabaticRegimeWarning`.
-    """
-    if not params.is_adiabatic:
-        warnings.warn(
-            "adiabatic reduction outside its validity regime: "
-            f"delta_t={params.delta_t!r} does not dominate "
-            f"e_t={params.e_t!r}, b_t={params.b_t!r}",
-            AdiabaticRegimeWarning,
-            stacklevel=2,
-        )
-    return build_reduced(params)

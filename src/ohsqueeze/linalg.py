@@ -21,12 +21,6 @@ def _defects(stack: np.ndarray) -> np.ndarray:
     return np.divide(diffs, norms, out=np.zeros_like(norms), where=norms != 0.0)
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """Relative Frobenius asymmetry ``||a - a^H|| / ||a||`` (0 for the zero matrix)."""
-    a = np.asarray(a, dtype=complex)
-    return float(_defects(a[None])[0])
-
-
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 

@@ -24,10 +24,6 @@ class SpinOps:
     jz: np.ndarray
     identity: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.jz.shape[0]
-
 
 def make_spin_ops(j: float) -> SpinOps:
     """Ladder-operator construction of (jx, jy, jz) for spin j.

@@ -104,11 +104,6 @@ class FieldParams:
             raise ValueError("kappa_t overflow: e_t**2 / delta_t is not finite")
         object.__setattr__(self, "kappa_t", kappa)
 
-    @property
-    def is_adiabatic(self) -> bool:
-        """True when the pseudo-spin splitting dominates both field rates."""
-        return self.delta_t > self.e_t and self.delta_t > self.b_t
-
 
 def to_reduced(lab: LabParams, c_const: int = 1) -> FieldParams:
     """Reduce laboratory parameters to internal rates.
@@ -124,11 +119,3 @@ def to_reduced(lab: LabParams, c_const: int = 1) -> FieldParams:
         theta=lab.theta,
         c_const=c_const,
     )
-
-
-def adiabaticity_ratio(params: FieldParams) -> tuple[float, float]:
-    """Return ``(e_t/delta_t, b_t/delta_t)``; both must be < 1 in the
-    adiabatic regime.  Requires ``delta_t > 0``."""
-    if params.delta_t <= 0:
-        raise ValueError("adiabaticity ratios need delta_t > 0")
-    return params.e_t / params.delta_t, params.b_t / params.delta_t

@@ -12,7 +12,11 @@ its three-product form, against which the builder's hoisted factors are.
 :func:`verify_equivalence` compares that tensor form with the hand
 tabulation, and :func:`scan_then_golden` is the brute-force minimizer
 (a coarse grid, then golden-section refinement) that closed-form optima
-are checked against.
+are checked against.  :func:`build_rotated_frame` is the Agarwal-Puri
+frame-rotated partner of the four-level builder, against whose spectrum
+``build_reduced``'s is checked, and :func:`resolve_twist_sign` finds the
+twisting-sign convention from the dynamics, against which
+``analytic.MATCHED_C_CONST`` is pinned.
 
 The table text oracles at the end format one cell at a time and build the
 whole text before returning it, the plain route the CLI's chunked writer
@@ -25,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ohsqueeze.dynamics import golden_section
+from ohsqueeze.dynamics import golden_section, run_series
 from ohsqueeze.hamiltonians import build_full, full_matrix_tabulated, twist_axis
 from ohsqueeze.linalg import kron
 from ohsqueeze.spin import make_spin_ops
+from ohsqueeze.units import FieldParams
 
 OPS = make_spin_ops(1.5)
 HALF = make_spin_ops(0.5)
@@ -73,6 +78,53 @@ def build_full_three_kron(params):
         - params.b_t * kron(HALF.identity, OPS.jz)
         + params.e_t * kron(2.0 * HALF.jx, axis)
     )
+
+
+def build_rotated_frame(params):
+    """Frame-rotated (Agarwal-Puri) partner of ``build_reduced``.
+
+    The twisting is carried by ``Jz**2`` and the Zeeman term points along
+    the tilted axis: ``-b_t * axis + kappa_t Jz**2``.  Unitarily equivalent
+    to ``build_reduced`` (same spectrum).
+    """
+    return -params.b_t * twist_axis(params.theta) + params.kappa_t * (OPS.jz @ OPS.jz)
+
+
+def resolve_twist_sign(e_ratio=0.05, eval_phase=0.3):
+    """Determine empirically which ``c_const`` matches the full dynamics.
+
+    The sign of the early-time y-z covariance of the twisting dynamics is
+    the sign of the twisting strength, and it is insensitive to the exact
+    effective rate.  The full model is run from the physical (embedded)
+    x-stretched initial state -- the eight-level Hamiltonian itself carries
+    no ``c_const`` -- and each four-level sign candidate is run beside it,
+    all at the dimensionless time ``eval_phase``; exactly one candidate
+    must reproduce the sign of the covariance.  Returns that ``c_const``
+    (-1, i.e. positive ``kappa_t``).
+    """
+
+    def cov_at_phase(model, c_const=1):
+        p = FieldParams(delta_t=1.0, b_t=0.0, e_t=e_ratio, theta=0.0, c_const=c_const)
+        return float(run_series(p, "ku", model, [eval_phase]).cov_jy_jz[0])
+
+    cov_full = cov_at_phase("eight_dim")
+    if abs(cov_full) < 0.05:
+        raise RuntimeError(
+            f"covariance signal too weak to resolve the twisting sign: {cov_full!r}"
+        )
+
+    matches = []
+    for c_const in (1, -1):
+        cov4 = cov_at_phase("four_dim", c_const)
+        if abs(cov4) < 0.05:
+            raise RuntimeError(
+                f"covariance signal too weak for candidate c_const={c_const}: {cov4!r}"
+            )
+        if math.copysign(1.0, cov4) == math.copysign(1.0, cov_full):
+            matches.append(c_const)
+    if len(matches) != 1:
+        raise RuntimeError(f"ambiguous twisting-sign resolution: matches={matches!r}")
+    return matches[0]
 
 
 @dataclass(frozen=True)

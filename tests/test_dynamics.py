@@ -10,7 +10,6 @@ import reference
 from ohsqueeze import analytic, dynamics
 from ohsqueeze.dynamics import (
     max_heisenberg_violation,
-    resolve_twist_sign,
     run_series,
     time_scale,
     xi_wineland,
@@ -326,8 +325,8 @@ def test_general_theta_ninety_equals_uniform_field_run():
 
 
 def test_resolved_twist_sign_matches_pinned_convention():
-    assert resolve_twist_sign() == -1
-    assert resolve_twist_sign() == analytic.MATCHED_C_CONST
+    assert reference.resolve_twist_sign() == -1
+    assert reference.resolve_twist_sign() == analytic.MATCHED_C_CONST
 
 
 def test_run_series_is_bitwise_reproducible():

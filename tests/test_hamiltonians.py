@@ -1,18 +1,14 @@
 """Hamiltonian builders: tensor vs tabulated form, the reduced form, symmetry."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 import reference
 
 from ohsqueeze.hamiltonians import (
-    AdiabaticRegimeWarning,
-    build_adiabatic,
     build_full,
     build_reduced,
-    build_rotated_frame,
     full_matrix_tabulated,
     twist_axis,
 )
@@ -93,19 +89,9 @@ def test_zero_e_field_commutes_with_jz():
     assert np.linalg.norm(h @ jz8 - jz8 @ h) < 1e-13
 
 
-def test_adiabatic_regime_warning():
-    inside = FieldParams(delta_t=1.0, b_t=0.1, e_t=0.25, theta=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        build_adiabatic(inside)
-    outside = FieldParams(delta_t=1.0, b_t=0.0, e_t=1.5, theta=0.0)
-    with pytest.warns(AdiabaticRegimeWarning):
-        build_adiabatic(outside)
-
-
 def test_adiabatic_structure_at_theta_zero():
     p = FieldParams(delta_t=1.0, b_t=0.4, e_t=0.3, theta=0.0, c_const=-1)
-    h = build_adiabatic(p)
+    h = build_reduced(p)
     ms = np.array([1.5, 0.5, -0.5, -1.5])
     assert np.allclose(h, np.diag(-0.4 * ms + p.kappa_t * ms**2), atol=1e-14)
 
@@ -125,8 +111,6 @@ def test_general_theta_collapses_exactly_at_quadrants():
     for degrees, axis_sq in ((0, _J.jz @ _J.jz), (90, _J.jx @ _J.jx), (180, _J.jz @ _J.jz)):
         q = FieldParams(delta_t=1.0, b_t=0.2, e_t=0.25, theta=math.radians(degrees), c_const=-1)
         assert np.array_equal(build_reduced(q), -0.2 * _J.jz + q.kappa_t * axis_sq), degrees
-    # the regime-checked builder is the same matrix
-    assert np.array_equal(build_adiabatic(q), build_reduced(q))
 
 
 def test_rotated_frame_is_isospectral_to_general():
@@ -140,7 +124,7 @@ def test_rotated_frame_is_isospectral_to_general():
             c_const=1 if rng.random() < 0.5 else -1,
         )
         w_general, _ = herm_eig(build_reduced(p))
-        w_rotated, _ = herm_eig(build_rotated_frame(p))
+        w_rotated, _ = herm_eig(reference.build_rotated_frame(p))
         assert np.allclose(w_general, w_rotated, atol=1e-10)
 
 

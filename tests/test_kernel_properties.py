@@ -6,6 +6,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import build_rotated_frame
 
 from ohsqueeze import dynamics
 from ohsqueeze.dynamics import (
@@ -15,7 +16,7 @@ from ohsqueeze.dynamics import (
     max_heisenberg_violation,
     run_series,
 )
-from ohsqueeze.hamiltonians import build_reduced, build_rotated_frame
+from ohsqueeze.hamiltonians import build_reduced
 from ohsqueeze.units import FieldParams
 
 POLICIES = st.one_of(st.sampled_from(["formula", "scan"]), st.floats(-math.pi, math.pi))

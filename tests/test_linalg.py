@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from reference import partial_trace_slow, propagator
 
-from ohsqueeze.linalg import herm_eig, hermitian_defect, kron
+from ohsqueeze.linalg import _defects, herm_eig, kron
 
 
 def random_hermitian(rng, dim):
@@ -120,10 +120,10 @@ def test_herm_eig_rejects_non_square_stack():
 
 def test_hermitian_defect_measures_asymmetry():
     a = np.array([[1.0, 2.0], [2.0, -1.0]])
-    assert hermitian_defect(a) == 0.0
+    assert _defects(a[None]).tolist() == [0.0]
     b = a.copy()
     b[0, 1] += 1e-3
-    assert hermitian_defect(b) > 1e-5
+    assert _defects(b[None])[0] > 1e-5
 
 
 def test_propagator_group_law_and_unitarity():

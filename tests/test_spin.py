@@ -26,7 +26,7 @@ def test_commutators_and_casimir(j):
 
 def test_operators_hermitian_and_descending():
     ops = make_spin_ops(1.5)
-    assert ops.dim == 4
+    assert ops.jz.shape == (4, 4)
     for op in (ops.jx, ops.jy, ops.jz):
         assert frob(op - op.conj().T) < 1e-14
     assert np.allclose(np.diag(ops.jz), [1.5, 0.5, -0.5, -1.5])

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ohsqueeze.units import FieldParams, LabParams, adiabaticity_ratio, to_reduced
+from ohsqueeze.units import FieldParams, LabParams, to_reduced
 
 
 def test_kappa_sign_follows_c_const():
@@ -45,13 +45,6 @@ def test_field_params_frozen():
     p = FieldParams(delta_t=1.0, b_t=0.0, e_t=0.1, theta=0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.e_t = 0.5
-
-
-def test_is_adiabatic_strict_inequalities():
-    assert FieldParams(delta_t=1.0, b_t=0.1, e_t=0.25, theta=0.0).is_adiabatic
-    # boundary case: field scale equal to the splitting is flagged
-    assert not FieldParams(delta_t=1.0, b_t=1.0, e_t=0.25, theta=0.0).is_adiabatic
-    assert not FieldParams(delta_t=1.0, b_t=0.1, e_t=1.5, theta=0.0).is_adiabatic
 
 
 def test_lab_params_validation():
@@ -114,15 +107,7 @@ def test_to_reduced_anchor_point():
         dipole_moment=dipole,
     )
     p = to_reduced(lab, c_const=-1)
-    ratios = adiabaticity_ratio(p)
-    assert ratios[0] == pytest.approx(0.25, rel=1e-12)
+    assert p.e_t / p.delta_t == pytest.approx(0.25, rel=1e-12)
     assert abs(p.kappa_t) == pytest.approx(0.0625 * delta / 2.0, rel=1e-12)
     assert abs(p.kappa_t) == pytest.approx(51.875e6, rel=1e-6)
     assert abs(abs(p.kappa_t) - 48e6) <= 0.1 * 48e6
-
-
-def test_adiabaticity_ratio_example():
-    p = FieldParams(delta_t=1.0, b_t=0.1, e_t=0.25, theta=0.0)
-    assert adiabaticity_ratio(p) == (0.25, 0.1)
-    with pytest.raises(ValueError):
-        adiabaticity_ratio(FieldParams(delta_t=-1.0, b_t=0.0, e_t=0.1, theta=0.0))
