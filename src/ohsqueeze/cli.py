@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -34,7 +33,8 @@ import sys
 import numpy as np
 
 from . import __version__, analytic
-from .dynamics import SCENARIO_RULES, SqueezeSeries, max_heisenberg_violation, run_series
+from .dynamics import SCENARIO_RULES, SqueezeSeries, _stack_rows, max_heisenberg_violation
+from .dynamics import run_series
 from .units import FieldParams, LabParams, to_reduced
 
 DEFAULT_E_RATIO = 0.25
@@ -167,8 +167,10 @@ def _write_json_rows(handle, blocks: list[list]) -> None:
 
     Every row of a block goes through one ``%s`` template laid out as
     ``json.dumps(indent=2)`` lays out a row; scalar cells are encoded once.
+    A float cell that is the previous block's array reuses that chunk's texts.
     """
     sep = "["
+    last = {}  # column -> (array, chunk start, chunk texts)
     for block in blocks:
         n = _block_rows(block)
         row = "\n    [\n      " + ",\n      ".join(["%s"] * len(block)) + "\n    ]"
@@ -177,10 +179,12 @@ def _write_json_rows(handle, blocks: list[list]) -> None:
         ]
         for lo in range(0, n, TABLE_CHUNK_ROWS):
             hi = min(lo + TABLE_CHUNK_ROWS, n)
-            cells = (
-                _json_cells(cell, lo, hi) if text is None else itertools.repeat(text, hi - lo)
-                for cell, text in zip(block, scalars)
-            )
+            cells = []
+            for col, (cell, text) in enumerate(zip(block, scalars)):
+                prev = last.get(col)
+                if text is None and not (prev and prev[0] is cell and prev[1] == lo):
+                    prev = last[col] = (cell, lo, list(_json_cells(cell, lo, hi)))
+                cells.append(prev[2] if text is None else itertools.repeat(text, hi - lo))
             handle.write(sep + ",".join(map(row.__mod__, zip(*cells))))
             sep = ","
     handle.write("[]" if sep == "[" else "\n  ]")
@@ -379,13 +383,22 @@ def _run_table(series: SqueezeSeries, si_time: bool) -> tuple[list[str], list]:
     return header, cells
 
 
-def _xi_minima(series: SqueezeSeries) -> dict:
-    out = {}
-    for label, values in series.xi_pair():
-        finite = np.where(np.isfinite(values), values, np.inf)
-        k = int(np.argmin(finite))
-        out[label] = {"value": values[k], "t_dimensionless": series.times[k]}
-    return out
+def _xi_minima(series: SqueezeSeries | list[SqueezeSeries]) -> dict | list[dict]:
+    """Each squeezing column's least finite value and its time (index 0 if none is finite).
+
+    One series gives a dict; a list sharing scenario and grid length, one per series.
+    """
+    runs = [series] if isinstance(series, SqueezeSeries) else series
+    pairs = [run.xi_pair() for run in runs]
+    rows = np.arange(len(runs))
+    times = _stack_rows([run.times for run in runs])
+    out = [{} for _ in runs]
+    for j, (label, _) in enumerate(pairs[0]):
+        values = _stack_rows([pair[j][1] for pair in pairs])
+        k = np.argmin(np.where(np.isfinite(values), values, np.inf), axis=1)
+        for entry, value, t in zip(out, values[rows, k], times[rows, k]):
+            entry[label] = {"value": value, "t_dimensionless": t}
+    return out[0] if isinstance(series, SqueezeSeries) else out
 
 
 def _minima_lines(prefix: str, minima: dict) -> list[str]:
@@ -415,7 +428,7 @@ def cmd_simulate(args) -> int:
         blocks = [[name, *cells] for name, cells in zip(runs, blocks)]
 
     first = runs[model_names[0]]
-    params_dict = dataclasses.asdict(params)
+    params_dict = vars(params)
     xi_min = {name: _xi_minima(series) for name, series in runs.items()}
     meta = {
         "command": "simulate",
@@ -451,19 +464,20 @@ def cmd_sweep_theta(args) -> int:
     inputs = _field_inputs(args)
     fields = [_resolve_run(args, "general", inputs, theta_deg) for theta_deg in theta_list]
     runs = run_series(fields, "general", MODEL_MAP[args.model], times)
+    columns = zip(theta_list, fields, runs, _xi_minima(runs), max_heisenberg_violation(runs))
 
     blocks = []
     summaries = []
-    for theta_deg, params, series in zip(theta_list, fields, runs):
+    for theta_deg, params, series, xi_min, violation in columns:
         header, cells = _run_table(series, args.si_time)
         blocks.append([theta_deg, *cells])
         summaries.append(
             {
                 "theta_deg": theta_deg,
-                "params": dataclasses.asdict(params),
+                "params": vars(params),
                 "time_scale": series.time_scale,
-                "xi_min": _xi_minima(series),
-                "heisenberg_violation": max_heisenberg_violation(series),
+                "xi_min": xi_min,
+                "heisenberg_violation": violation,
             }
         )
     meta = {
@@ -531,7 +545,7 @@ def cmd_compare(args) -> int:
         "command": "compare",
         "scenario": args.scenario,
         "n_policy": four.n_policy,
-        "params": dataclasses.asdict(params),
+        "params": vars(params),
         "xi_min": summary,
         "max_pointwise_gap": gaps,
         "convention": CONVENTION_NOTE,

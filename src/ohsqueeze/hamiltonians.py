@@ -11,6 +11,7 @@ transverse field (Law-Ng-Leung) at theta = pi/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -21,12 +22,9 @@ from .units import FieldParams
 _HALF = make_spin_ops(0.5)
 _J = make_spin_ops(1.5)
 _PAULI_X = 2.0 * _HALF.jx
-_PAULI_Z = 2.0 * _HALF.jz
-_I2 = _HALF.identity
-_I4 = _J.identity
 #: The field-independent tensor factors of :func:`build_full`.
-_SIGMA_Z_I4 = kron(_PAULI_Z, _I4)
-_I2_JZ = kron(_I2, _J.jz)
+_SIGMA_Z_I4 = kron(2.0 * _HALF.jz, _J.identity)
+_I2_JZ = kron(_HALF.identity, _J.jz)
 
 
 def _cos_sin(theta: float) -> tuple[float, float]:
@@ -48,19 +46,23 @@ def twist_axis(theta: float) -> np.ndarray:
     return c * _J.jz - s * _J.jx
 
 
-def build_full(params: FieldParams) -> np.ndarray:
-    """Eight-level Hamiltonian in tensor form.
+def build_full(params: FieldParams | Sequence[FieldParams]) -> np.ndarray:
+    """Eight-level Hamiltonian in tensor form, of one field or a stack of fields.
 
     ``-delta_t (sigma_z x I) - b_t (I x Jz) + e_t (sigma_x x axis)`` with
     ``axis = Jz cos(theta) - Jx sin(theta)``.  The first four basis states
-    carry the ``-delta_t`` diagonal, the last four ``+delta_t``.
+    carry the ``-delta_t`` diagonal, the last four ``+delta_t``.  One field
+    gives ``(8, 8)``; a sequence the ``(P, 8, 8)`` stack of the same bits.
     """
-    axis = twist_axis(params.theta)
-    return (
-        -params.delta_t * _SIGMA_Z_I4
-        - params.b_t * _I2_JZ
-        + params.e_t * kron(_PAULI_X, axis)
-    )
+    fields = [params] if isinstance(params, FieldParams) else params
+    rates = np.array([(*_cos_sin(p.theta), p.delta_t, p.b_t, p.e_t) for p in fields])
+    c, s, delta_t, b_t, e_t = rates.T[:, :, None, None]
+    axes = c * _J.jz - s * _J.jx
+    # sigma_x (x) axis as np.kron's own broadcast multiply: a kron-free form
+    # flips the sign of zero entries, and eigh turns that into 1e-15 shifts.
+    stark = (_PAULI_X[None, :, None, :, None] * axes[:, None, :, None, :]).reshape(-1, 8, 8)
+    h = -delta_t * _SIGMA_Z_I4 - b_t * _I2_JZ + e_t * stark
+    return h[0] if isinstance(params, FieldParams) else h
 
 
 def full_matrix_tabulated(params: FieldParams) -> np.ndarray:

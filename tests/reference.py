@@ -18,7 +18,9 @@ frame-rotated partner of the four-level builder, against whose spectrum
 twisting-sign convention from the dynamics, against which
 ``analytic.MATCHED_C_CONST`` is pinned.
 
-The table text oracles at the end format one cell at a time and build the
+:func:`xi_minima` and :func:`max_heisenberg_violation` summarize one run
+at a time, the route the CLI's batched summaries over many runs must
+reproduce.  The table text oracles at the end format one cell at a time and build the
 whole text before returning it, the plain route the CLI's chunked writer
 must reproduce byte for byte.
 """
@@ -222,6 +224,29 @@ def scan_grid_argmin(var_y, var_z, cov):
     cs = np.sin(2.0 * grid)
     table = var_y[:, None] * c2[None, :] + var_z[:, None] * s2[None, :] - cov[:, None] * cs[None, :]
     return np.argmin(table, axis=1)
+
+
+def xi_minima(series):
+    """One run's least finite value of each squeezing column and its time, one run at a time."""
+    out = {}
+    for label, values in series.xi_pair():
+        finite = np.where(np.isfinite(values), values, np.inf)
+        k = int(np.argmin(finite))
+        out[label] = {"value": values[k], "t_dimensionless": series.times[k]}
+    return out
+
+
+def max_heisenberg_violation(series):
+    """One run's worst variance-form uncertainty shortfall, clipped at zero."""
+    var_x = np.maximum(series.var_jx, 0.0)
+    var_y = np.maximum(series.var_jy_n, 0.0)
+    var_z = np.maximum(series.var_jz_n, 0.0)
+    shortfalls = (
+        0.25 * series.mean_jx**2 - var_y * var_z,
+        0.25 * series.mean_jz_n**2 - var_x * var_y,
+        0.25 * series.mean_jy_n**2 - var_z * var_x,
+    )
+    return float(max(0.0, *(s.max() for s in shortfalls)))
 
 
 def fmt(value) -> str:

@@ -1,13 +1,17 @@
 """Command-line interface, exercised in process through cli.main."""
 
+import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 
-from ohsqueeze import cli
+from ohsqueeze import cli, dynamics
+from ohsqueeze.units import FieldParams
 
 # Frozen from the first run of the default twisting simulation (2001 points
 # to pi at the closed-form analysis angle): the grid minimum of xi_y.
@@ -349,6 +353,85 @@ def test_output_matches_golden_bytes(tmp_path, capsys, name, argv):
     assert cli.main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+#: 45 angles from 0 to 180 degrees, 0, 90 and 180 among them.  At 51
+#: points a block holds 40 fields, so a sweep over them spans two blocks.
+THETA_45 = ",".join(f"{180 * k / 44:g}" for k in range(45))
+TWO_BLOCK_SWEEP = ("sweep-theta", "--theta-list", THETA_45, "--model", "full", "--points", "51")
+
+
+@pytest.mark.parametrize(
+    "flags, sha256",
+    [
+        # SHA-256 of the output before the per-block build, summaries and
+        # shared time-column texts; the bytes must not move
+        (
+            ("--format", "json", "--e-ratio", "0.2", "--r", "3.3"),
+            "0ee8f122051238d28228418cd90374ac0d5465ff34a5f6ed0eca03c15f477588",
+        ),
+        (
+            ("--e-vpcm", "1000", "--b-gauss", "20", "--si-time", "--format", "csv"),
+            "b1d903e805f57522336906253b92df8d197a63fc0e128ab9f565c9c0d53c8aee",
+        ),
+    ],
+)
+def test_two_block_sweep_matches_pinned_bytes(tmp_path, capsys, flags, sha256):
+    out = tmp_path / "sweep"
+    assert cli.main([*TWO_BLOCK_SWEEP, *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_sweep_theta_builds_once_per_block(capsys, monkeypatch):
+    sizes = []
+    real = dynamics.build_full
+
+    def counted(params):
+        sizes.append(len(params))
+        return real(params)
+
+    monkeypatch.setattr(dynamics, "build_full", counted)
+    code, _, _ = run_cli(capsys, *TWO_BLOCK_SWEEP, "--format", "json")
+    assert code == 0
+    assert sizes == [40, 5]
+
+
+def _with_columns(series, **columns):
+    return dataclasses.replace(series, **{k: np.array(v, dtype=float) for k, v in columns.items()})
+
+
+def minima_floats(minima: dict) -> list[str]:
+    """Labels and values of one run's xi minima, floats as exact hex text (nan included)."""
+    return [
+        f"{label} {float(rec['value']).hex()} {float(rec['t_dimensionless']).hex()}"
+        for label, rec in minima.items()
+    ]
+
+
+def test_batched_summaries_match_per_run_route_on_sentinels():
+    fields = [FieldParams(1.0, 0.2, 0.25, math.radians(d), -1) for d in (30, 60, 90, 120)]
+    base = dynamics.run_series(fields, "general", "eight_dim", np.linspace(0.0, 2.0, 5))
+    inf, nan = math.inf, math.nan
+    runs = [
+        _with_columns(base[0], xi_x=[inf, 0.9, inf, 0.8, 0.8], xi_y=[nan, inf, 0.7, nan, 0.7]),
+        # no finite value: the minimum falls at index 0, as one run's argmin puts it
+        _with_columns(base[1], xi_x=[inf] * 5, xi_y=[nan, inf, nan, inf, -inf]),
+        # a nan pairing maximum never wins, as in Python's max(0.0, ...)
+        _with_columns(base[2], mean_jx=[nan, 0.0, 0.0, 0.0, 0.0]),
+        _with_columns(base[3], mean_jz_n=[0.0, 3.0, 0.0, 0.0, 0.0]),
+    ]
+    minima = cli._xi_minima(runs)
+    violations = dynamics.max_heisenberg_violation(runs)
+    assert minima_floats(minima[1])[0] == f"xi_x {inf.hex()} {0.0.hex()}"
+    assert violations[3] > 0.0
+    assert len(minima) == len(violations) == len(runs)
+    for run, got, violation in zip(runs, minima, violations):
+        assert minima_floats(got) == minima_floats(reference.xi_minima(run))
+        assert minima_floats(cli._xi_minima(run)) == minima_floats(got)
+        assert type(violation) is float
+        assert violation == reference.max_heisenberg_violation(run)
+        assert dynamics.max_heisenberg_violation(run) == violation
 
 
 def test_c_const_is_exactly_a_sign(capsys, tmp_path):

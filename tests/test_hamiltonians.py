@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohsqueeze.hamiltonians import (
     build_full,
@@ -35,6 +37,34 @@ def test_build_full_shape_and_hermitian():
     h = build_full(p)
     assert h.shape == (8, 8)
     assert np.allclose(h, h.conj().T, atol=1e-14)
+
+
+#: Fields for the stacked build: quadrant angles as well as free ones, zero
+#: and signed magnetic fields (-0.0 included), zero electric field, both
+#: signs of delta_t and of c_const.
+STACK_FIELDS = st.builds(
+    FieldParams,
+    delta_t=st.one_of(st.floats(0.1, 5.0), st.floats(-5.0, -0.1)),
+    b_t=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+    e_t=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    theta=st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi]), st.floats(0.0, math.pi)),
+    c_const=st.sampled_from([1, -1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.lists(STACK_FIELDS, min_size=1, max_size=12))
+def test_stacked_build_is_bit_identical_to_single_builds(fields):
+    # Bytes, not closeness: the Stark term is the broadcast multiply np.kron
+    # makes.  A kron-free form, e_t * (c sigma_x(x)Jz - s sigma_x(x)Jx),
+    # differs only in the sign of zero entries, yet eigh's eigenvectors see
+    # signed zeros and sweep xi_min values moved by about 1e-15 with it.
+    stack = build_full(fields)
+    assert stack.shape == (len(fields), 8, 8)
+    singles = np.stack([build_full(p) for p in fields])
+    assert stack.tobytes() == singles.tobytes()
+    three_kron = np.stack([reference.build_full_three_kron(p) for p in fields])
+    assert stack.tobytes() == three_kron.tobytes()
 
 
 def test_tensor_matches_tabulated_on_random_draws():

@@ -6,9 +6,10 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+import reference
 from reference import build_rotated_frame
 
-from ohsqueeze import dynamics
+from ohsqueeze import cli, dynamics
 from ohsqueeze.dynamics import (
     MODELS,
     SCENARIOS,
@@ -103,6 +104,27 @@ def test_batch_of_fields_equals_single_field_runs(monkeypatch, data, times, n_po
     assert isinstance(batched, list) and len(batched) == len(batch)
     for one, many in zip(singles, batched):
         assert_same_bits(many, one)
+
+
+def summary_floats(minima: dict, violation: float) -> list[str]:
+    """One run's summaries as exact hex text: xi minima, their times, the shortfall."""
+    values = [float(v) for rec in minima.values() for v in rec.values()]
+    return [*minima, *(v.hex() for v in [*values, violation])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), times=TIMES, n_policy=POLICIES)
+def test_batched_summaries_equal_per_run_route(data, times, n_policy):
+    scenario = data.draw(st.sampled_from(SCENARIOS))
+    model = data.draw(st.sampled_from(MODELS))
+    batch = data.draw(st.lists(fields(scenario), min_size=1, max_size=8))
+    runs = run_series(batch, scenario, model, times, n_policy)
+    minima = cli._xi_minima(runs)
+    violations = max_heisenberg_violation(runs)
+    assert len(minima) == len(violations) == len(runs)
+    for run, got, violation in zip(runs, minima, violations):
+        want = summary_floats(reference.xi_minima(run), reference.max_heisenberg_violation(run))
+        assert summary_floats(got, violation) == want
 
 
 @settings(max_examples=50, deadline=None)

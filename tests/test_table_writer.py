@@ -62,15 +62,28 @@ def tables(draw):
     """A chunk size, and a table whose blocks hold chunk-1, chunk, chunk+1 or 2*chunk+1 rows.
 
     The chunk size is small, so both the CSV and the JSON writer cross
-    chunk boundaries inside a block.
+    chunk boundaries inside a block.  A float cell may be an earlier cell's
+    array object of the same length, from the previous block or an older
+    one, in its own column or another, as every block of a sweep shares its
+    time column, mixed with arrays of its own.
     """
     chunk = draw(st.integers(2, 6))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
     kinds.insert(draw(st.integers(0, len(kinds))), "float")  # every block has an array
     blocks = []
-    for _ in range(draw(st.integers(1, 3))):
+    arrays = []
+    for _ in range(draw(st.integers(1, 4))):
         n = draw(st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
-        blocks.append([draw(cells(kind, n)) for kind in kinds])
+        block = []
+        for kind in kinds:
+            earlier = [a for a in arrays if a.size == n]
+            if kind == "float" and earlier and draw(st.booleans()):
+                block.append(draw(st.sampled_from(earlier)))
+            else:
+                block.append(draw(cells(kind, n)))
+                if kind == "float":
+                    arrays.append(block[-1])
+        blocks.append(block)
     header = [f"c{k}" for k in range(len(kinds))]
     return chunk, header, blocks
 
@@ -160,3 +173,28 @@ def test_json_writer_memory_is_bounded_in_rows():
     small = _peak_bytes("json", 6000)
     large = _peak_bytes("json", 60000)
     assert large - small <= one_chunk
+
+
+def _shared_time_peak(n_blocks: int) -> int:
+    """Peak traced allocation while the JSON writer writes a sweep-like table.
+
+    Every block shares one 51-row time column and has its own xi column;
+    the arrays are made before tracing starts.
+    """
+    rng = np.random.default_rng(n_blocks)
+    times = np.linspace(0.0, np.pi, 51)
+    blocks = [[float(k), times, rng.random(51)] for k in range(n_blocks)]
+    args = argparse.Namespace(format="json", out=os.devnull)
+    tracemalloc.start()
+    try:
+        cli._emit_table(args, ["theta_deg", "t", "xi"], blocks, {"command": "test"})
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_json_shared_column_texts_are_bounded_in_blocks():
+    # The writer keeps at most one chunk of a shared column's texts, however
+    # many blocks share it: one chunk of float texts, about 70 B each.
+    one_chunk = cli.TABLE_CHUNK_ROWS * 70
+    assert _shared_time_peak(400) - _shared_time_peak(40) <= one_chunk
