@@ -16,7 +16,7 @@ runs).  Every CLI table is built on it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +50,6 @@ _MOMENT_MATRIX = np.stack(
     axis=1,
 )
 
-#: Angular resolution of the coarse analysis-angle scan (one degree).
-SCAN_GRID_STEP = math.pi / 180.0
-#: Golden-section refinement tolerance for the analysis angle, in radians.
-SCAN_ANGLE_TOL = 1e-6
-_SCAN_GRID = np.arange(180) * SCAN_GRID_STEP
-#: Points the coarse scan tabulates at a time, so its memory is bounded.
-_SCAN_BLOCK_ROWS = 1024
-#: Shrink steps after which :func:`golden_section` stops whatever the bracket.
-_GOLDEN_MAX_ITER = 200
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Points, fields x times, the kernel evaluates at a time: a block holds as
 #: many whole grids as fit (at least one field), and a longer grid is walked
 #: in tiles of this many times, so memory per point stays bounded.
@@ -136,73 +126,6 @@ class SqueezeSeries:
         return ("xi_x", self.xi_x), ("xi_y", self.xi_y)
 
 
-def _scan_grid_argmin(var_y: np.ndarray, var_z: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Per-point index of the one-degree grid angle least in rotated y variance.
-
-    The rotated variance is the quadratic form
-    ``cos^2(n) var_y + sin^2(n) var_z - sin(2n) cov`` (period pi).  It is
-    tabulated :data:`_SCAN_BLOCK_ROWS` points at a time.
-    """
-    c2 = np.cos(_SCAN_GRID) ** 2
-    s2 = np.sin(_SCAN_GRID) ** 2
-    cs = np.sin(2.0 * _SCAN_GRID)
-    best = np.empty(var_y.size, dtype=np.intp)
-    for lo in range(0, var_y.size, _SCAN_BLOCK_ROWS):
-        rows = slice(lo, lo + _SCAN_BLOCK_ROWS)
-        best[rows] = np.argmin(
-            var_y[rows, None] * c2 + var_z[rows, None] * s2 - cov[rows, None] * cs, axis=1
-        )
-    return best
-
-
-def golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = SCAN_ANGLE_TOL
-) -> tuple[float, float]:
-    """Minimize a unimodal function on [lo, hi].
-
-    Returns ``(x, f(x))`` at the bracket midpoint once the bracket width
-    falls below ``tol`` (or after :data:`_GOLDEN_MAX_ITER` shrink steps).
-    """
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo!r}, {hi!r}]")
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_MAX_ITER):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _scan_angles(var_y: np.ndarray, var_z: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Per-point analysis angle minimizing the rotated y variance.
-
-    The one-degree grid brackets the minimum and golden-section refines it.
-    """
-    out = np.empty(var_y.size)
-    for i, k in enumerate(_scan_grid_argmin(var_y, var_z, cov)):
-        vy, vz, cyz = var_y[i], var_z[i], cov[i]
-
-        def rotated_var(n: float) -> float:
-            c, s = math.cos(n), math.sin(n)
-            return c * c * vy + s * s * vz - math.sin(2.0 * n) * cyz
-
-        center = _SCAN_GRID[k]
-        n_ref, _ = golden_section(rotated_var, center - SCAN_GRID_STEP, center + SCAN_GRID_STEP)
-        out[i] = n_ref if rotated_var(n_ref) <= rotated_var(center) else center
-    return out
-
-
 def time_scale(params: FieldParams, scenario: str) -> float:
     """Physical rate per unit of dimensionless time for a scenario.
 
@@ -256,10 +179,11 @@ def run_series(
     evolution (initial state embedded in the upper doublet block).
     ``times`` is a 1-D grid in units of 1/|kappa_t| for "ku" and 1/P
     otherwise.  ``n_policy`` is the analysis angle: a finite fixed angle in
-    radians in any scenario, or "formula" (closed-form optimum) or "scan"
-    (per-point numerical minimization), which twisting runs honor and
-    uniform-field runs read as the unrotated quadratures (angle 0).  Any
-    other string raises ``ValueError``.
+    radians in any scenario, or "formula" (the twisting closed form's
+    optimum) or "scan" (the exact per-point minimizer of the computed
+    moments, in [0, pi)), which twisting runs honor and uniform-field runs
+    read as the unrotated quadratures (angle 0).  Any other string raises
+    ``ValueError``.
 
     For example, an eight-level field-angle map in one call::
 
@@ -334,8 +258,11 @@ def _run_block(fields, scales, scenario, model, times, n_policy) -> list[Squeeze
     if n_policy == "formula":
         n = np.asarray(analytic.optimal_axis_angle(kappa, times_phys))
     elif n_policy == "scan":
+        # The rotated variance is A + B cos 2n - C sin 2n, least at
+        # 2n = atan2(C, -B), with B = (var_y - var_z)/2 and C = cov_yz.
         var_y, var_z, cov_yz = y2 - my**2, z2 - mz**2, sym_yz - my * mz
-        n = _scan_angles(var_y.ravel(), var_z.ravel(), cov_yz.ravel()).reshape(shape)
+        n = np.mod(0.5 * np.arctan2(cov_yz, 0.5 * (var_z - var_y)), math.pi)
+        n[n == math.pi] = 0.0  # a tiny negative angle rounds up to pi
     else:
         n = np.full(shape, n_policy)
         n_policy = f"fixed:{n_policy!r}"

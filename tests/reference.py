@@ -6,13 +6,13 @@ explicit loop over the slow index, the eight-level Hamiltonian taken from
 its entry-by-entry tabulation, and rotated-quadrature moments taken on the
 frame-rotated state ``exp(-i n Jx) rho exp(+i n Jx)`` rather than from the
 rotated operators.  The batched kernel shares none of these steps.  The
-coarse analysis-angle scan is kept in its whole-table form, against which
-the kernel's blocked table is checked, and the eight-level tensor form in
-its three-product form, against which the builder's hoisted factors are.
+eight-level tensor form is kept in its three-product form, against which
+the builder's hoisted factors are checked.
 :func:`verify_equivalence` compares that tensor form with the hand
 tabulation, and :func:`scan_then_golden` is the brute-force minimizer
-(a coarse grid, then golden-section refinement) that closed-form optima
-are checked against.  :func:`build_rotated_frame` is the Agarwal-Puri
+(a coarse grid, then :func:`golden_section` refinement) that closed-form
+optima, the "scan" analysis angle among them, are checked against.
+:func:`build_rotated_frame` is the Agarwal-Puri
 frame-rotated partner of the four-level builder, against whose spectrum
 ``build_reduced``'s is checked, and :func:`resolve_twist_sign` finds the
 twisting-sign convention from the dynamics, against which
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ohsqueeze.dynamics import golden_section, run_series
+from ohsqueeze.dynamics import run_series
 from ohsqueeze.hamiltonians import build_full, full_matrix_tabulated, twist_axis
 from ohsqueeze.linalg import kron
 from ohsqueeze.spin import make_spin_ops
@@ -153,6 +153,38 @@ def verify_equivalence(params, rtol=1e-12):
     return EquivalenceReport(max_abs_diff=diff, matrix_scale=scale, tol=tol, passed=diff <= tol)
 
 
+#: Shrink steps after which :func:`golden_section` stops whatever the bracket.
+_GOLDEN_MAX_ITER = 200
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(f, lo, hi, tol=1e-6):
+    """Minimize a unimodal function on [lo, hi].
+
+    Returns ``(x, f(x))`` at the bracket midpoint once the bracket width
+    falls below ``tol`` (or after :data:`_GOLDEN_MAX_ITER` shrink steps).
+    """
+    if not hi > lo:
+        raise ValueError(f"need hi > lo, got [{lo!r}, {hi!r}]")
+    a, b = float(lo), float(hi)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_MAX_ITER):
+        if b - a <= tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def scan_then_golden(f, lo, hi, num, tol=1e-8):
     """Global coarse scan to bracket the best minimum, then golden refinement.
 
@@ -214,16 +246,6 @@ def moments(params, scenario, model, t_phys, n):
         "cov_jy_jz": expect(sym_yz, rho) - mean_y * mean_z,
         "purity": float(np.trace(rho @ rho).real),
     }
-
-
-def scan_grid_argmin(var_y, var_z, cov):
-    """Coarse analysis-angle scan with every point's one-degree row in one table."""
-    grid = np.arange(180) * (math.pi / 180.0)
-    c2 = np.cos(grid) ** 2
-    s2 = np.sin(grid) ** 2
-    cs = np.sin(2.0 * grid)
-    table = var_y[:, None] * c2[None, :] + var_z[:, None] * s2[None, :] - cov[:, None] * cs[None, :]
-    return np.argmin(table, axis=1)
 
 
 def xi_minima(series):

@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from reference import scan_then_golden, verify_equivalence
+from reference import golden_section, scan_then_golden, verify_equivalence
 
 from ohsqueeze import analytic, cli
-from ohsqueeze.dynamics import golden_section, max_heisenberg_violation, run_series
+from ohsqueeze.dynamics import max_heisenberg_violation, run_series
 from ohsqueeze.hamiltonians import build_full
 from ohsqueeze.linalg import herm_eig
 from ohsqueeze.spin import make_spin_ops

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import scan_then_golden
+from reference import golden_section, scan_then_golden
 
 from ohsqueeze import analytic
-from ohsqueeze.dynamics import golden_section
 
 # Frozen by the first oracle run: global minimum of the twisting squeezing
 # parameter at the closed-form analysis angle, and the optimal field ratio

@@ -198,9 +198,21 @@ def test_xi_pair_selects_scenario_columns():
 
 def test_scan_policy_never_loses_to_formula():
     times = np.linspace(0.0, 3.0, 181)
-    formula = run_series(_twisting_params(), "ku", "four_dim", times, n_policy="formula")
-    scan = run_series(_twisting_params(), "ku", "four_dim", times, n_policy="scan")
-    assert np.all(scan.var_jy_n <= formula.var_jy_n + 1e-6)
+    for model in dynamics.MODELS:
+        formula = run_series(_twisting_params(), "ku", model, times, n_policy="formula")
+        scan = run_series(_twisting_params(), "ku", model, times, n_policy="scan")
+        roundoff = 1e-12 * np.maximum(1.0, np.abs(formula.var_jy_n))
+        assert np.all(scan.var_jy_n <= formula.var_jy_n + roundoff), model
+
+
+def test_scan_angle_never_rounds_up_to_pi():
+    # Just before t = 0 the eight-level covariance is a tiny negative number
+    # while var_y - var_z is a roundoff-sized negative one, so half the atan2
+    # is a tiny negative angle, which mod pi rounds up to pi.
+    times = [-1e-300, 0.0, 1e-300]
+    series = run_series(_twisting_params(e_t=0.2), "ku", "eight_dim", times, n_policy="scan")
+    assert series.cov_jy_jz[0] < 0.0
+    assert np.all((series.n_angle >= 0.0) & (series.n_angle < math.pi))
 
 
 def test_fixed_angle_policy():
@@ -351,78 +363,43 @@ def test_full_model_twist_rate_is_half_the_reduced_one():
     assert np.allclose(eight.mean_jx, four.mean_jx, atol=5e-3)
 
 
-# ---------------------------------------------------------------------------
-# the coarse analysis-angle scan, tabulated in blocks of points
+#: (model, analysis-angle policy) pairs; the formula cases keep their model ids.
+MEMORY_RUNS = [
+    pytest.param(model, n_policy, id=model if n_policy == "formula" else f"{model}-{n_policy}")
+    for n_policy in ("formula", "scan")
+    for model in ("four_dim", "eight_dim")
+]
 
 
-@pytest.mark.parametrize("points", [1, 1023, 1024, 1025, 2 * 1024 + 7])
-def test_blocked_scan_matches_whole_table(points):
-    block = dynamics._SCAN_BLOCK_ROWS
-    rng = np.random.default_rng(points)
-    var_y = rng.uniform(0.0, 2.0, points)
-    var_z = rng.uniform(0.0, 2.0, points)
-    cov = rng.uniform(-1.0, 1.0, points)
-    # every grid angle ties on an isotropic point; argmin keeps the first
-    var_z[::5] = var_y[::5]
-    cov[::5] = 0.0
-    expected = reference.scan_grid_argmin(var_y, var_z, cov)
-    assert np.array_equal(dynamics._scan_grid_argmin(var_y, var_z, cov), expected)
-    # a twisting run long enough to span blocks, through the kernel
-    series = run_series(_twisting_params(), "ku", "four_dim", np.linspace(0.0, 3.0, block + 5))
-    args = (series.var_jy, series.var_jz, series.cov_jy_jz)
-    assert np.array_equal(dynamics._scan_grid_argmin(*args), reference.scan_grid_argmin(*args))
-
-
-def _scan_peak_bytes(points):
-    """Peak traced allocation of the scan policy over ``points`` points."""
-    rng = np.random.default_rng(points)
-    var_y, var_z = rng.uniform(0.0, 2.0, (2, points))
-    cov = rng.uniform(-1.0, 1.0, points)
-    tracemalloc.start()
-    try:
-        dynamics._scan_angles(var_y, var_z, cov)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_scan_memory_is_bounded_in_points():
-    # One block's table of float64 rotated variances over the 180-angle grid.
-    one_block = dynamics._SCAN_BLOCK_ROWS * 180 * 8
-    small = _scan_peak_bytes(1100)
-    large = _scan_peak_bytes(3100)
-    assert large - small <= one_block
-
-
-def _run_peak_bytes(model, points):
+def _run_peak_bytes(model, n_policy, points):
     """Peak traced allocation of one twisting run over ``points`` times."""
     times = np.linspace(0.0, 3.0, points)
     tracemalloc.start()
     try:
-        run_series(_twisting_params(), "ku", model, times)
+        run_series(_twisting_params(), "ku", model, times, n_policy)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("model", ["four_dim", "eight_dim"])
-def test_run_series_memory_per_point_is_bounded(model):
+@pytest.mark.parametrize(("model", "n_policy"), MEMORY_RUNS)
+def test_run_series_memory_per_point_is_bounded(model, n_policy):
     # The time axis is walked in tiles, so the per-point state table and
     # density matrix (over 400 B per point) never exist for the whole grid.
     # What stays is the series itself (18 float columns besides the shared
     # grid, 144 B per point) and the moment rows and temporaries of the
-    # full-length columns.
-    small = _run_peak_bytes(model, 6000)
-    large = _run_peak_bytes(model, 60000)
+    # full-length columns; the scan angle's costs no more than the formula's.
+    small = _run_peak_bytes(model, n_policy, 6000)
+    large = _run_peak_bytes(model, n_policy, 60000)
     assert large - small <= 54000 * 224
 
 
-def _run_retained_bytes(model, points):
+def _run_retained_bytes(model, n_policy, points):
     """Traced memory a twisting run's series still holds after it returns."""
     times = np.linspace(0.0, 3.0, points)
     tracemalloc.start()
     try:
-        series = run_series(_twisting_params(), "ku", model, times)
+        series = run_series(_twisting_params(), "ku", model, times, n_policy)
         retained = tracemalloc.get_traced_memory()[0]
         assert series.times is times
         return retained
@@ -430,11 +407,11 @@ def _run_retained_bytes(model, points):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("model", ["four_dim", "eight_dim"])
-def test_run_series_retained_memory_per_point_is_bounded(model):
+@pytest.mark.parametrize(("model", "n_policy"), MEMORY_RUNS)
+def test_run_series_retained_memory_per_point_is_bounded(model, n_policy):
     # A series keeps its 18 float columns (144 B per point).  Every row of
     # the block's moment array is one of them, so no moment row that no
     # series exposes stays alive with it.
-    small = _run_retained_bytes(model, 6000)
-    large = _run_retained_bytes(model, 60000)
+    small = _run_retained_bytes(model, n_policy, 6000)
+    large = _run_retained_bytes(model, n_policy, 60000)
     assert large - small <= 54000 * 160

@@ -132,7 +132,29 @@ def test_batched_summaries_equal_per_run_route(data, times, n_policy):
 def test_scan_policy_never_loses_to_formula_on_random_twisting(params, model, times):
     formula = run_series(params, "ku", model, times, "formula")
     scan = run_series(params, "ku", model, times, "scan")
-    assert np.all(scan.var_jy_n <= formula.var_jy_n + 1e-9)
+    roundoff = 1e-12 * np.maximum(1.0, np.abs(formula.var_jy_n))
+    assert np.all(scan.var_jy_n <= formula.var_jy_n + roundoff)
+
+
+@settings(max_examples=50, deadline=None)
+@given(params=fields("ku"), model=st.sampled_from(MODELS), times=TIMES)
+def test_scan_angle_is_the_exact_minimizer(params, model, times):
+    # t = 0 is the isotropic row: B = C = 0 up to roundoff, every angle ties.
+    times = np.concatenate([[0.0], times])
+    scan = run_series(params, "ku", model, times, "scan")
+    assert np.all((scan.n_angle >= 0.0) & (scan.n_angle < math.pi))
+    # The rotated variance A + B cos 2n - C sin 2n is least at A - hypot(B, C).
+    a = 0.5 * (scan.var_jy + scan.var_jz)
+    b = 0.5 * (scan.var_jy - scan.var_jz)
+    np.testing.assert_allclose(scan.var_jy_n, a - np.hypot(b, scan.cov_jy_jz), rtol=1e-12, atol=0)
+    for var_y, var_z, cov, got in zip(scan.var_jy, scan.var_jz, scan.cov_jy_jz, scan.var_jy_n):
+
+        def rotated_var(n, var_y=var_y, var_z=var_z, cov=cov):
+            c, s = math.cos(n), math.sin(n)
+            return c * c * var_y + s * s * var_z - math.sin(2.0 * n) * cov
+
+        _, brute = reference.scan_then_golden(rotated_var, 0.0, math.pi, 181, tol=1e-10)
+        assert got <= brute + 1e-12 * max(1.0, abs(brute))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,10 @@
-"""Scalar minimizers: the analysis-angle golden section and the brute-force scan oracle."""
+"""The reference scalar minimizers: golden section and the brute-force scan oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from reference import scan_then_golden
-
-from ohsqueeze.dynamics import golden_section
+from reference import golden_section, scan_then_golden
 
 
 def test_golden_section_quadratic():
